@@ -231,6 +231,97 @@ TEST_F(StressTest, TornSketchFilesNeverCrashLoad) {
   fs::remove(path);
 }
 
+// A format-v2 file ends in a quantization section: a mode byte, then per
+// MLP (table, join, pred, out; two Linears each) a u64 layer count and one
+// packed-weight record per layer: mode u8, in u64, out u64, then int8 codes,
+// fp16 halves and fp32 scales as count-prefixed vectors. Returns the offsets
+// of every header field (each must be validated) and of the payload bytes
+// (plain data) in the int8 fixture.
+struct QuantSectionLayout {
+  size_t begin = 0;
+  std::vector<std::pair<size_t, size_t>> headers;  // [offset, length)
+  std::vector<std::pair<size_t, size_t>> payloads;
+};
+
+QuantSectionLayout Int8SectionLayout(const DeepSketch& sketch,
+                                     size_t file_size) {
+  const size_t h = 16;  // the fixture's hidden units (tests/data/README.md)
+  const mscn::FeatureSpace& fs = sketch.feature_space();
+  const std::vector<std::pair<size_t, size_t>> layers = {
+      {fs.table_dim(), h}, {h, h}, {fs.join_dim(), h}, {h, h},
+      {fs.pred_dim(), h},  {h, h}, {3 * h, h},         {h, 1}};
+  size_t size = 1 + 4 * 8;
+  for (const auto& [in, out] : layers) size += 1 + 5 * 8 + in * out + 4 * out;
+  QuantSectionLayout l;
+  l.begin = file_size - size;
+  size_t at = l.begin;
+  auto header = [&](size_t len) {
+    l.headers.push_back({at, len});
+    at += len;
+  };
+  auto payload = [&](size_t len) {
+    l.payloads.push_back({at, len});
+    at += len;
+  };
+  header(1);
+  for (size_t i = 0; i < layers.size(); ++i) {
+    if (i % 2 == 0) header(8);
+    const auto [in, out] = layers[i];
+    header(1 + 8 + 8 + 8);
+    payload(in * out);
+    header(8);  // empty fp16 vector
+    header(8);
+    payload(4 * out);
+  }
+  EXPECT_EQ(at, file_size);
+  return l;
+}
+
+TEST_F(StressTest, TornV2QuantSectionFailsToLoad) {
+  const std::string fixture =
+      std::string(DS_TEST_DATA_DIR) + "/golden_int8_bitmaps.sketch";
+  std::ifstream in(fixture, std::ios::binary);
+  ASSERT_TRUE(in.good());
+  const std::vector<uint8_t> valid((std::istreambuf_iterator<char>(in)),
+                                   std::istreambuf_iterator<char>());
+  auto sketch = DeepSketch::Load(fixture);
+  ASSERT_TRUE(sketch.ok()) << sketch.status().ToString();
+  const QuantSectionLayout layout = Int8SectionLayout(*sketch, valid.size());
+  ASSERT_EQ(valid[layout.begin], 2u);  // the int8 mode byte
+
+  auto load = [](std::vector<uint8_t> bytes) {
+    util::BinaryReader reader(std::move(bytes));
+    return DeepSketch::Read(&reader);
+  };
+  // Every truncation inside the section fails with a Status.
+  for (size_t len = layout.begin; len < valid.size(); ++len) {
+    auto loaded = load({valid.begin(), valid.begin() + len});
+    EXPECT_FALSE(loaded.ok()) << "truncate@" << len;
+  }
+  // Every single-bit flip of a header field (mode, layer count, shape,
+  // vector length) fails with a Status.
+  for (const auto& [offset, len] : layout.headers) {
+    for (size_t byte = offset; byte < offset + len; ++byte) {
+      for (int bit = 0; bit < 8; ++bit) {
+        std::vector<uint8_t> flipped = valid;
+        flipped[byte] ^= static_cast<uint8_t>(1u << bit);
+        auto loaded = load(std::move(flipped));
+        EXPECT_FALSE(loaded.ok()) << "flip@" << byte << "." << bit;
+      }
+    }
+  }
+  // A flip in the packed payload is indistinguishable from data: the file
+  // still loads and estimates.
+  for (const auto& [offset, len] : layout.payloads) {
+    std::vector<uint8_t> flipped = valid;
+    flipped[offset + len / 2] ^= 0x10;
+    auto loaded = load(std::move(flipped));
+    ASSERT_TRUE(loaded.ok()) << "flip@" << offset + len / 2 << ": "
+                             << loaded.status().ToString();
+    EXPECT_TRUE(loaded->EstimateSql("SELECT COUNT(*) FROM title").ok());
+  }
+}
+
 // ------------------------------------------------------------ end to end
 
 TEST_F(StressTest, ShortServeModeRunHoldsEveryOracle) {
