@@ -7,25 +7,19 @@
 //              dispatch tier is gated against, with no allocator noise
 //   fused:     LinearBiasActInto on the active dispatch tier
 //   sparse:    SparseLinearBiasActInto on a CSR input of matching density
-//   int8/fp16: the packed-weight kernels (LinearBiasActPackedInto /
-//              SparseLinearBiasActPackedInto)
 //
-// With check=1 the binary additionally:
-//   * iterates every dispatch tier available in this process (SetKernelTier;
-//     CI forces builds/processes into specific tiers with DS_KERNEL_TIER)
-//     and verifies fused/sparse/packed outputs against the generic tier —
-//     bit-identical for avx2 (and for fp16, whose f16->f32 load is exact),
-//     tolerance-bounded for the FMA-contracting fma/avx512 tiers;
-//   * fails if the kernel path is slower than the scalar reference on any
-//     shape (vectorized tiers only);
-//   * fails if the quantized sparse path is not >= 1.5x faster than the
-//     fused fp32 dense kernel on the set-MLP first-layer shape (the
-//     quantization win the sketch serving path relies on; >= 1.0x on the
-//     generic tier, which has no SIMD headroom).
+// With check=1 the binary exits nonzero when:
+//   * a tier's outputs disagree with the generic tier's: it iterates every
+//     dispatch tier available in this process (SetKernelTier; CI forces
+//     builds/processes into specific tiers with DS_KERNEL_TIER) and checks
+//     fused/sparse outputs — bit-identical for avx2, tolerance-bounded for
+//     the FMA-contracting fma/avx512 tiers;
+//   * the kernel path is slower than the scalar reference on any shape
+//     (vectorized tiers only), or a steady-state op allocates.
 //
 // Results are also written machine-readably (op, p50/p95, qps = rows/sec,
 // allocations per row) to bench_results/nn_kernels.json; the envelope
-// records the active kernel tier and the quant modes measured.
+// records the active kernel tier.
 //
 // Usage: bench_nn_kernels [check=1] [iters=N] [json=path]
 
@@ -39,7 +33,6 @@
 
 #include "bench_util.h"
 #include "ds/nn/kernels.h"
-#include "ds/nn/quant.h"
 #include "ds/nn/tensor.h"
 #include "ds/util/logging.h"
 #include "ds/util/random.h"
@@ -146,20 +139,16 @@ int main(int argc, char** argv) {
   }
   std::printf(")\n");
 
-  std::printf("%-24s %11s %11s %11s %11s %11s %8s\n", "shape", "reference",
-              "fused", "sparse", "int8", "fp16", "speedup");
+  std::printf("%-24s %11s %11s %11s %8s\n", "shape", "reference", "fused",
+              "sparse", "speedup");
   bool ok = true;
   std::vector<bench::OpResult> ops;
   util::Pcg32 rng(3);
-  // Saved per shape for the quant speedup gate below.
-  std::vector<double> fused_p50, sparse_i8_p50;
   for (const Shape& sh : shapes) {
     Tensor x = RandomTensor({sh.rows, sh.in}, &rng, sh.sparsity);
     Tensor w = RandomTensor({sh.in, sh.out}, &rng);
     Tensor b = RandomTensor({sh.out}, &rng);
     nn::SparseRows xs = ToSparse(x);
-    const nn::PackedLinear w_i8 = nn::PackWeights(w, nn::QuantMode::kInt8);
-    const nn::PackedLinear w_f16 = nn::PackWeights(w, nn::QuantMode::kFp16);
     Tensor y, ref_y;
 
     bench::OpResult ref = bench::MeasureOp(
@@ -178,42 +167,17 @@ int main(int argc, char** argv) {
           nn::SparseLinearBiasActInto(xs, w, b, /*fuse_relu=*/true, &y);
           benchmark::DoNotOptimize(y.data());
         });
-    // Quantized path on the kernel the layers dispatch for this shape: the
-    // sparse packed kernel for featurized (mostly-zero) inputs, the dense
-    // packed kernel everywhere else.
-    const bool use_sparse = sh.sparsity > 0.5;
-    bench::OpResult int8 = bench::MeasureOp(
-        std::string("int8:") + sh.name, /*warmup=*/50, iters, sh.rows, [&] {
-          if (use_sparse) {
-            nn::SparseLinearBiasActPackedInto(xs, w_i8, b, true, &y);
-          } else {
-            nn::LinearBiasActPackedInto(x, w_i8, b, true, &y);
-          }
-          benchmark::DoNotOptimize(y.data());
-        });
-    bench::OpResult fp16 = bench::MeasureOp(
-        std::string("fp16:") + sh.name, /*warmup=*/50, iters, sh.rows, [&] {
-          if (use_sparse) {
-            nn::SparseLinearBiasActPackedInto(xs, w_f16, b, true, &y);
-          } else {
-            nn::LinearBiasActPackedInto(x, w_f16, b, true, &y);
-          }
-          benchmark::DoNotOptimize(y.data());
-        });
     ops.push_back(ref);
     ops.push_back(fused);
     ops.push_back(sparse);
-    ops.push_back(int8);
-    ops.push_back(fp16);
-    fused_p50.push_back(fused.p50_us);
-    sparse_i8_p50.push_back(use_sparse ? int8.p50_us : 0);
 
-    // Gate on the kernel the layers actually dispatch for this shape.
+    // Gate on the kernel the layers actually dispatch for this shape: the
+    // sparse kernel for featurized (mostly-zero) inputs, fused elsewhere.
+    const bool use_sparse = sh.sparsity > 0.5;
     const double kernel_us = use_sparse ? sparse.p50_us : fused.p50_us;
     const double speedup = kernel_us > 0 ? ref.p50_us / kernel_us : 0;
-    std::printf("%-24s %8.2f us %8.2f us %8.2f us %8.2f us %8.2f us %7.2fx\n",
-                sh.name, ref.p50_us, fused.p50_us, sparse.p50_us, int8.p50_us,
-                fp16.p50_us, speedup);
+    std::printf("%-24s %8.2f us %8.2f us %8.2f us %7.2fx\n", sh.name,
+                ref.p50_us, fused.p50_us, sparse.p50_us, speedup);
     if (nn::KernelsVectorized() && kernel_us > ref.p50_us) {
       std::printf("  ^ FAIL: kernel path slower than the scalar reference "
                   "on %s\n",
@@ -230,41 +194,24 @@ int main(int argc, char** argv) {
 
   if (check) {
     // Parity sweep: every tier this process can run, against the generic
-    // tier's outputs. avx2 and all fp16 paths must be bit-identical;
-    // fma/avx512 contract to FMA and get a tolerance.
+    // tier's outputs. avx2 must be bit-identical; fma/avx512 contract to
+    // FMA and get a tolerance.
     const nn::KernelTier entry_tier = nn::ActiveKernelTier();
     for (const Shape& sh : shapes) {
       Tensor x = RandomTensor({sh.rows, sh.in}, &rng, sh.sparsity);
       Tensor w = RandomTensor({sh.in, sh.out}, &rng);
       Tensor b = RandomTensor({sh.out}, &rng);
       nn::SparseRows xs = ToSparse(x);
-      const nn::PackedLinear w_i8 = nn::PackWeights(w, nn::QuantMode::kInt8);
-      const nn::PackedLinear w_f16 = nn::PackWeights(w, nn::QuantMode::kFp16);
 
       struct Variant {
         const char* name;
         std::function<void(Tensor*)> run;
-        bool exact_on_avx2;  // mul+add order preserved -> bit-identical
       };
       const Variant variants[] = {
-          {"fused", [&](Tensor* y) {
-             nn::LinearBiasActInto(x, w, b, true, y);
-           }, true},
-          {"sparse", [&](Tensor* y) {
-             nn::SparseLinearBiasActInto(xs, w, b, true, y);
-           }, true},
-          {"fused_i8", [&](Tensor* y) {
-             nn::LinearBiasActPackedInto(x, w_i8, b, true, y);
-           }, true},
-          {"sparse_i8", [&](Tensor* y) {
-             nn::SparseLinearBiasActPackedInto(xs, w_i8, b, true, y);
-           }, true},
-          {"fused_f16", [&](Tensor* y) {
-             nn::LinearBiasActPackedInto(x, w_f16, b, true, y);
-           }, true},
-          {"sparse_f16", [&](Tensor* y) {
-             nn::SparseLinearBiasActPackedInto(xs, w_f16, b, true, y);
-           }, true},
+          {"fused",
+           [&](Tensor* y) { nn::LinearBiasActInto(x, w, b, true, y); }},
+          {"sparse",
+           [&](Tensor* y) { nn::SparseLinearBiasActInto(xs, w, b, true, y); }},
       };
       for (const Variant& v : variants) {
         DS_CHECK(nn::SetKernelTier(nn::KernelTier::kGeneric));
@@ -275,9 +222,7 @@ int main(int argc, char** argv) {
           DS_CHECK(nn::SetKernelTier(t));
           Tensor got;
           v.run(&got);
-          const bool want_exact =
-              v.exact_on_avx2 && t == nn::KernelTier::kAvx2;
-          if (want_exact && !BitIdentical(expect, got)) {
+          if (t == nn::KernelTier::kAvx2 && !BitIdentical(expect, got)) {
             std::printf("check FAIL: %s on tier %s is not bit-identical to "
                         "generic (%s)\n",
                         v.name, nn::KernelTierName(t), sh.name);
@@ -292,21 +237,6 @@ int main(int argc, char** argv) {
       }
     }
     DS_CHECK(nn::SetKernelTier(entry_tier));
-
-    // Quantization speedup gate on the set-MLP first layer (shape 0): the
-    // packed int8 sparse path must beat the fused fp32 dense kernel by the
-    // margin serving counts on. The generic tier has no SIMD headroom, so
-    // it only has to not regress.
-    const double need = nn::KernelsVectorized() ? 1.5 : 1.0;
-    const double got = sparse_i8_p50[0] > 0 ? fused_p50[0] / sparse_i8_p50[0]
-                                            : 0;
-    std::printf("quantized setmlp speedup: %.2fx (int8 sparse vs fp32 fused, "
-                "need >= %.1fx)\n",
-                got, need);
-    if (got < need) {
-      std::printf("  ^ FAIL: quantized path under the %.1fx gate\n", need);
-      ok = false;
-    }
   }
 
   std::printf("vectorized kernel path: %s\n",
@@ -319,8 +249,7 @@ int main(int argc, char** argv) {
   if (!json_path.empty()) {
     bench::WriteBenchResultsJson(
         json_path, "nn_kernels", ops, "inproc",
-        {{"kernel_tier", nn::KernelTierName(tier)},
-         {"quant", "fp32+int8+fp16"}});
+        {{"kernel_tier", nn::KernelTierName(tier)}});
   }
 
   if (check && !ok) {

@@ -92,43 +92,21 @@ nn::Tensor MscnModel::Forward(const Batch& batch) {
   return out_sigmoid_.Forward(out_mlp_.Forward(concat));
 }
 
-nn::Tensor MscnModel::Infer(const Batch& batch) const {
+const nn::Tensor* MscnModel::InferSparse(const SparseBatch& batch,
+                                         nn::Workspace* ws) const {
   const size_t h = config_.hidden_units;
-  const size_t b = batch.batch_size();
+  const size_t b = batch.table_mask.dim(0);
 
-  nn::Tensor t = nn::MaskedMean::Pool(table_mlp_.Infer(batch.tables),
-                                      batch.table_mask);
-  nn::Tensor j =
-      nn::MaskedMean::Pool(join_mlp_.Infer(batch.joins), batch.join_mask);
-  nn::Tensor p = nn::MaskedMean::Pool(pred_mlp_.Infer(batch.predicates),
-                                      batch.predicate_mask);
-
-  nn::Tensor concat({b, 3 * h});
-  for (size_t i = 0; i < b; ++i) {
-    float* row = concat.data() + i * 3 * h;
-    std::copy(t.data() + i * h, t.data() + (i + 1) * h, row);
-    std::copy(j.data() + i * h, j.data() + (i + 1) * h, row + h);
-    std::copy(p.data() + i * h, p.data() + (i + 1) * h, row + 2 * h);
-  }
-
-  nn::Tensor y = out_mlp_.Infer(concat);
-  nn::Sigmoid::ApplyInPlace(&y);
-  return y;
-}
-
-const nn::Tensor* MscnModel::InferTail(
-    const nn::Tensor& tflat, const nn::Tensor& jflat, const nn::Tensor& pflat,
-    const nn::Tensor& tmask, const nn::Tensor& jmask, const nn::Tensor& pmask,
-    nn::Workspace* ws) const {
-  const size_t h = config_.hidden_units;
-  const size_t b = tmask.dim(0);
-
+  // Per-element shared MLPs on the flattened sets, then masked averaging.
   nn::Tensor* t = ws->Acquire();
   nn::Tensor* j = ws->Acquire();
   nn::Tensor* p = ws->Acquire();
-  nn::MaskedMean::PoolInto(tflat, tmask, t);
-  nn::MaskedMean::PoolInto(jflat, jmask, j);
-  nn::MaskedMean::PoolInto(pflat, pmask, p);
+  nn::MaskedMean::PoolInto(*table_mlp_.InferSparseInto(batch.tables, ws),
+                           batch.table_mask, t);
+  nn::MaskedMean::PoolInto(*join_mlp_.InferSparseInto(batch.joins, ws),
+                           batch.join_mask, j);
+  nn::MaskedMean::PoolInto(*pred_mlp_.InferSparseInto(batch.predicates, ws),
+                           batch.predicate_mask, p);
 
   nn::Tensor* concat = ws->Acquire();
   concat->ResizeInPlace({b, 3 * h});
@@ -139,27 +117,9 @@ const nn::Tensor* MscnModel::InferTail(
     std::copy(p->data() + i * h, p->data() + (i + 1) * h, row + 2 * h);
   }
 
-  nn::Tensor* y = out_mlp_.InferInto(*concat, ws);
+  nn::Tensor* y = out_mlp_.InferDenseFrom(0, concat, ws);
   nn::Sigmoid::ApplyInPlace(y);
   return y;
-}
-
-const nn::Tensor* MscnModel::InferInto(const Batch& batch,
-                                       nn::Workspace* ws) const {
-  const nn::Tensor* tf = table_mlp_.InferInto(batch.tables, ws);
-  const nn::Tensor* jf = join_mlp_.InferInto(batch.joins, ws);
-  const nn::Tensor* pf = pred_mlp_.InferInto(batch.predicates, ws);
-  return InferTail(*tf, *jf, *pf, batch.table_mask, batch.join_mask,
-                   batch.predicate_mask, ws);
-}
-
-const nn::Tensor* MscnModel::InferSparse(const SparseBatch& batch,
-                                         nn::Workspace* ws) const {
-  const nn::Tensor* tf = table_mlp_.InferSparseInto(batch.tables, ws);
-  const nn::Tensor* jf = join_mlp_.InferSparseInto(batch.joins, ws);
-  const nn::Tensor* pf = pred_mlp_.InferSparseInto(batch.predicates, ws);
-  return InferTail(*tf, *jf, *pf, batch.table_mask, batch.join_mask,
-                   batch.predicate_mask, ws);
 }
 
 void MscnModel::Backward(const nn::Tensor& dy) {
@@ -196,28 +156,6 @@ size_t MscnModel::NumParameters() const {
     }
   }
   return n;
-}
-
-void MscnModel::Pack(nn::QuantMode mode) {
-  table_mlp_.Pack(mode);
-  join_mlp_.Pack(mode);
-  pred_mlp_.Pack(mode);
-  out_mlp_.Pack(mode);
-}
-
-void MscnModel::WritePacked(util::BinaryWriter* w) const {
-  table_mlp_.WritePacked(w);
-  join_mlp_.WritePacked(w);
-  pred_mlp_.WritePacked(w);
-  out_mlp_.WritePacked(w);
-}
-
-Status MscnModel::ReadPacked(util::BinaryReader* r) {
-  DS_RETURN_NOT_OK(table_mlp_.ReadPacked(r));
-  DS_RETURN_NOT_OK(join_mlp_.ReadPacked(r));
-  DS_RETURN_NOT_OK(pred_mlp_.ReadPacked(r));
-  DS_RETURN_NOT_OK(out_mlp_.ReadPacked(r));
-  return Status::OK();
 }
 
 void MscnModel::Write(util::BinaryWriter* w) {

@@ -49,19 +49,16 @@ class MscnModel {
   /// parameters. Must follow a Forward on the same batch.
   void Backward(const nn::Tensor& dy);
 
-  /// Inference-only forward: identical outputs to Forward but touches no
-  /// mutable state, so concurrent calls on a shared model are safe once
-  /// training is done. This is the serving hot path (ds::serve).
-  nn::Tensor Infer(const Batch& batch) const;
-
-  /// Workspace-backed inference through the fused kernels. Bit-for-bit
-  /// identical to Infer; all intermediates live in `ws`, so a warm workspace
-  /// makes the pass allocation-free. The returned tensor points into `ws`
-  /// and is valid until ws->Reset(). One workspace per thread.
-  const nn::Tensor* InferInto(const Batch& batch, nn::Workspace* ws) const;
-
-  /// Same, with CSR feature rows feeding the first layer of each set-MLP
-  /// (the serving path: featurized one-hot rows are overwhelmingly zero).
+  /// Inference: sigmoid outputs [B, 1] through the fused kernels, with CSR
+  /// feature rows feeding the first layer of each set-MLP (featurized
+  /// one-hot/bitmap rows are overwhelmingly zero). Bit-for-bit identical to
+  /// Forward on the equivalent dense Batch (MakeBatch) on the bit-stable
+  /// kernel tiers, but touches no mutable state, so concurrent calls on a
+  /// shared model are safe once training is done. All intermediates live
+  /// in `ws`, so a warm workspace makes the pass allocation-free; the
+  /// returned tensor points into `ws` and is valid until ws->Reset(). One
+  /// workspace per thread. This is the only inference path (ds::serve and
+  /// every DeepSketch estimate run through it).
   const nn::Tensor* InferSparse(const SparseBatch& batch,
                                 nn::Workspace* ws) const;
 
@@ -70,30 +67,11 @@ class MscnModel {
 
   const ModelConfig& config() const { return config_; }
 
-  /// Packs (kInt8/kFp16) or unpacks (kFp32) every Linear's weights for the
-  /// inference paths; the fp32 parameters stay untouched (training and the
-  /// parity gates keep reading them). Pack after training — optimizer
-  /// steps do not refresh packed copies.
-  void Pack(nn::QuantMode mode);
-  nn::QuantMode quant_mode() const { return table_mlp_.quant_mode(); }
-
   /// Serializes config + weights.
   void Write(util::BinaryWriter* writer);
   static Result<MscnModel> Read(util::BinaryReader* reader);
 
-  /// Packed-weight section (sketch format v2): always writes one record
-  /// per Linear (empty kFp32 records when unpacked).
-  void WritePacked(util::BinaryWriter* writer) const;
-  Status ReadPacked(util::BinaryReader* reader);
-
  private:
-  /// Shared tail of the workspace inference paths: pool the three flattened
-  /// set activations, concatenate, output MLP, sigmoid.
-  const nn::Tensor* InferTail(const nn::Tensor& tflat, const nn::Tensor& jflat,
-                              const nn::Tensor& pflat, const nn::Tensor& tmask,
-                              const nn::Tensor& jmask, const nn::Tensor& pmask,
-                              nn::Workspace* ws) const;
-
   ModelConfig config_;
   nn::Mlp table_mlp_;
   nn::Mlp join_mlp_;

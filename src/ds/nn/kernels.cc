@@ -34,7 +34,7 @@ const detail::KernelOps* const* AvailableOps() {
     const util::CpuFeatures& f = util::DetectCpuFeatures();
     ops[0] = detail::GetGenericOps();
     DS_REQUIRE(ops[0] != nullptr, "generic kernel tier missing from binary");
-    if (f.avx2 && f.f16c) {
+    if (f.avx2) {
       ops[1] = detail::GetAvx2Ops();
       if (f.fma) ops[2] = detail::GetAvx2FmaOps();
       if (f.avx512f && f.avx512bw && f.avx512vl && f.fma) {
@@ -226,38 +226,6 @@ void LinearBiasActInto(const Tensor& x, const Tensor& weight,
   DS_NO_ALLOC_END();
 }
 
-void LinearBiasActPackedInto(const Tensor& x, const PackedLinear& weight,
-                             const Tensor& bias, bool fuse_relu, Tensor* y) {
-  DS_REQUIRE(x.rank() == 2 && bias.rank() == 1,
-             "LinearBiasActPackedInto wants x:2D bias:1D, got %zu/%zu",
-             x.rank(), bias.rank());
-  DS_REQUIRE(weight.mode != QuantMode::kFp32,
-             "LinearBiasActPackedInto needs packed (int8/fp16) weights; use "
-             "LinearBiasActInto for fp32");
-  const size_t n = x.dim(0), k = x.dim(1), m = weight.out;
-  DS_REQUIRE(k == weight.in,
-             "LinearBiasActPackedInto dims disagree: x [%zu,%zu] x packed "
-             "[%zu,%zu]",
-             n, k, weight.in, m);
-  DS_REQUIRE(bias.dim(0) == m, "bias has %zu entries for %zu outputs",
-             bias.dim(0), m);
-  y->ResizeInPlace({n, m});
-  DS_NO_ALLOC_BEGIN();
-  size_t weight_bytes = 0;
-  if (weight.mode == QuantMode::kInt8) {
-    Ops().linear_i8(x.data(), weight.q.data(), weight.scales.data(),
-                    bias.data(), fuse_relu, y->data(), n, k, m);
-    weight_bytes = k * m * sizeof(int8_t) + m * sizeof(float);
-  } else {
-    Ops().linear_f16(x.data(), weight.half.data(), bias.data(), fuse_relu,
-                     y->data(), n, k, m);
-    weight_bytes = k * m * sizeof(uint16_t);
-  }
-  CountKernel(GlobalKernelStats().quant_calls, n * k * m,
-              weight_bytes + (n * k + n * m) * sizeof(float));
-  DS_NO_ALLOC_END();
-}
-
 void SparseLinearBiasActInto(const SparseRows& x, const Tensor& weight,
                              const Tensor& bias, bool fuse_relu, Tensor* y) {
   DS_REQUIRE(weight.rank() == 2 && bias.rank() == 1,
@@ -277,44 +245,6 @@ void SparseLinearBiasActInto(const SparseRows& x, const Tensor& weight,
   CountKernel(GlobalKernelStats().sparse_calls, x.nonzeros() * m,
               (x.nonzeros() * 2 * sizeof(uint32_t)) +
                   (x.nonzeros() + k * m + n * m) * sizeof(float));
-  DS_NO_ALLOC_END();
-}
-
-void SparseLinearBiasActPackedInto(const SparseRows& x,
-                                   const PackedLinear& weight,
-                                   const Tensor& bias, bool fuse_relu,
-                                   Tensor* y) {
-  DS_REQUIRE(bias.rank() == 1,
-             "SparseLinearBiasActPackedInto wants bias:1D, got %zu",
-             bias.rank());
-  DS_REQUIRE(weight.mode != QuantMode::kFp32,
-             "SparseLinearBiasActPackedInto needs packed (int8/fp16) "
-             "weights; use SparseLinearBiasActInto for fp32");
-  const size_t n = x.rows(), k = x.dim, m = weight.out;
-  DS_REQUIRE(k == weight.in,
-             "SparseLinearBiasActPackedInto dims disagree: x [%zu,%zu] x "
-             "packed [%zu,%zu]",
-             n, k, weight.in, m);
-  DS_REQUIRE(bias.dim(0) == m, "bias has %zu entries for %zu outputs",
-             bias.dim(0), m);
-  y->ResizeInPlace({n, m});
-  DS_NO_ALLOC_BEGIN();
-  size_t weight_bytes = 0;
-  if (weight.mode == QuantMode::kInt8) {
-    Ops().sparse_linear_i8(x.row_offsets.data(), x.cols.data(),
-                           x.vals.data(), n, weight.q.data(),
-                           weight.scales.data(), bias.data(), fuse_relu,
-                           y->data(), m);
-    weight_bytes = k * m * sizeof(int8_t) + m * sizeof(float);
-  } else {
-    Ops().sparse_linear_f16(x.row_offsets.data(), x.cols.data(),
-                            x.vals.data(), n, weight.half.data(),
-                            bias.data(), fuse_relu, y->data(), m);
-    weight_bytes = k * m * sizeof(uint16_t);
-  }
-  CountKernel(GlobalKernelStats().quant_calls, x.nonzeros() * m,
-              weight_bytes + (x.nonzeros() * 2 * sizeof(uint32_t)) +
-                  (x.nonzeros() + n * m) * sizeof(float));
   DS_NO_ALLOC_END();
 }
 

@@ -23,9 +23,8 @@
 //     to fused multiply-add (rounding once instead of twice); they are
 //     opt-in via DS_KERNEL_TIER=fma|avx512|native and parity-gated to a
 //     tolerance by bench_nn_kernels check=1.
-//   * LinearBiasActInto fuses x*W + b (+ ReLU) into one pass; the Packed
-//     variants read int8/fp16 packed weights (ds/nn/quant.h), applying
-//     per-output-channel scales in the same fused tail.
+//   * LinearBiasActInto fuses x*W + b (+ ReLU) into one pass. Weights are
+//     fp32; DESIGN.md §8 records why packed int8/fp16 weights are not used.
 //   * SparseRows is a CSR representation of the MSCN's one-hot/bitmap
 //     feature rows (overwhelmingly zero); SparseLinearBiasActInto multiplies
 //     it against a dense weight matrix touching only the nonzeros.
@@ -43,7 +42,6 @@
 #include <string>
 #include <vector>
 
-#include "ds/nn/quant.h"
 #include "ds/nn/tensor.h"
 #include "ds/util/contract.h"
 
@@ -58,7 +56,6 @@ struct KernelStats {
   std::atomic<uint64_t> dense_calls{0};   // MatMulInto and transposed forms
   std::atomic<uint64_t> fused_calls{0};   // LinearBiasActInto
   std::atomic<uint64_t> sparse_calls{0};  // SparseLinearBiasActInto
-  std::atomic<uint64_t> quant_calls{0};   // packed int8/fp16 fused kernels
   std::atomic<uint64_t> flops{0};         // 2 * multiply-accumulates issued
   std::atomic<uint64_t> bytes{0};         // operand + result bytes touched
 };
@@ -119,12 +116,6 @@ void MatMulTransposedAAccumulate(const Tensor& a, const Tensor& b, Tensor* c);
 /// on generic/AVX2 tiers.
 void LinearBiasActInto(const Tensor& x, const Tensor& weight,
                        const Tensor& bias, bool fuse_relu, Tensor* y);
-
-/// Fused y = x*W + b (+ ReLU) with W in packed int8/fp16 form (see
-/// ds/nn/quant.h). int8 accumulates x·q in fp32 and applies the
-/// per-output-channel scale once in the bias pass: y_j = acc_j * s_j + b_j.
-void LinearBiasActPackedInto(const Tensor& x, const PackedLinear& weight,
-                             const Tensor& bias, bool fuse_relu, Tensor* y);
 
 // ---- Sparse featurized inputs --------------------------------------------------
 
@@ -194,13 +185,6 @@ struct SparseRows {
 /// ToDense() input because zero entries contribute nothing in either path.
 void SparseLinearBiasActInto(const SparseRows& x, const Tensor& weight,
                              const Tensor& bias, bool fuse_relu, Tensor* y);
-
-/// Sparse x packed int8/fp16 weights — the quantized serving hot path for
-/// the set-MLP first layers.
-void SparseLinearBiasActPackedInto(const SparseRows& x,
-                                   const PackedLinear& weight,
-                                   const Tensor& bias, bool fuse_relu,
-                                   Tensor* y);
 
 }  // namespace ds::nn
 

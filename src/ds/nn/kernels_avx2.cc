@@ -1,15 +1,15 @@
 // AVX2 kernel tier (no FMA): 8/16-wide mul-then-add in the reference
 // k-order, so outputs stay bit-for-bit identical to the generic tier and
 // the tensor.h references — which is why this is the default dispatch
-// ceiling. Requires F16C for the fp16 weight path (VCVTPH2PS).
+// ceiling.
 //
-// Compiled with -mavx2 -mf16c via per-file flags (src/CMakeLists.txt);
+// Compiled with -mavx2 via per-file flags (src/CMakeLists.txt);
 // when the toolchain or DS_ENABLE_AVX2=OFF withholds them, this TU
 // degrades to a stub and the dispatcher skips the tier.
 
 #include "ds/nn/kernels_dispatch.h"
 
-#if defined(__AVX2__) && defined(__F16C__)
+#if defined(__AVX2__)
 
 #include <immintrin.h>
 
@@ -24,7 +24,7 @@ const KernelOps* GetAvx2Ops() { return avx2::TierOps(); }
 
 }  // namespace ds::nn::detail
 
-#else  // !(__AVX2__ && __F16C__)
+#else  // !__AVX2__
 
 namespace ds::nn::detail {
 

@@ -4,12 +4,12 @@
 // Opt-in via DS_KERNEL_TIER=fma|native; bench_nn_kernels check=1 gates the
 // parity bound.
 //
-// Compiled with -mavx2 -mfma -mf16c via per-file flags; degrades to a stub
+// Compiled with -mavx2 -mfma via per-file flags; degrades to a stub
 // without them.
 
 #include "ds/nn/kernels_dispatch.h"
 
-#if defined(__AVX2__) && defined(__FMA__) && defined(__F16C__)
+#if defined(__AVX2__) && defined(__FMA__)
 
 #include <immintrin.h>
 
@@ -24,7 +24,7 @@ const KernelOps* GetAvx2FmaOps() { return avx2_fma::TierOps(); }
 
 }  // namespace ds::nn::detail
 
-#else  // !(__AVX2__ && __FMA__ && __F16C__)
+#else  // !(__AVX2__ && __FMA__)
 
 namespace ds::nn::detail {
 

@@ -4,13 +4,13 @@
 // DS_KERNEL_TIER=avx512|native. The dispatcher additionally requires the
 // OS to save zmm state (XCR0) before offering this tier.
 //
-// Compiled with -mavx512f -mavx512bw -mavx512vl -mfma -mf16c via per-file
+// Compiled with -mavx512f -mavx512bw -mavx512vl -mfma via per-file
 // flags; degrades to a stub without them.
 
 #include "ds/nn/kernels_dispatch.h"
 
 #if defined(__AVX512F__) && defined(__AVX512BW__) && defined(__AVX512VL__) && \
-    defined(__FMA__) && defined(__F16C__)
+    defined(__FMA__)
 
 #include <immintrin.h>
 
@@ -25,7 +25,7 @@ const KernelOps* GetAvx512Ops() { return avx512::TierOps(); }
 
 }  // namespace ds::nn::detail
 
-#else  // !(AVX-512 F/BW/VL && FMA && F16C)
+#else  // !(AVX-512 F/BW/VL && FMA)
 
 namespace ds::nn::detail {
 

@@ -28,10 +28,9 @@
 
 namespace ds::nn::detail {
 
-/// One tier's kernel entry points. Matrix arguments are dense row-major;
-/// sparse inputs arrive as CSR triples (offsets of size n+1, then parallel
-/// cols/vals arrays). Quantized weights are [k, m] row-major int8 codes
-/// with per-output-channel scales, or [k, m] IEEE binary16 halves.
+/// One tier's fp32 kernel entry points. Matrix arguments are dense
+/// row-major; sparse inputs arrive as CSR triples (offsets of size n+1, then
+/// parallel cols/vals arrays).
 struct KernelOps {
   // c[n,m] = a[n,k] * b[k,m]
   void (*matmul)(const float* a, const float* b, float* c, size_t n,
@@ -50,21 +49,6 @@ struct KernelOps {
                         const float* vals, size_t n, const float* w,
                         const float* bias, bool fuse_relu, float* y,
                         size_t m);
-  // y[n,m] = (x[n,k] * q[k,m]) .* scales + bias (+ ReLU), fp32 accumulate
-  void (*linear_i8)(const float* x, const int8_t* q, const float* scales,
-                    const float* bias, bool fuse_relu, float* y, size_t n,
-                    size_t k, size_t m);
-  void (*sparse_linear_i8)(const uint32_t* offs, const uint32_t* cols,
-                           const float* vals, size_t n, const int8_t* q,
-                           const float* scales, const float* bias,
-                           bool fuse_relu, float* y, size_t m);
-  // y[n,m] = x[n,k] * f32(h[k,m]) + bias (+ ReLU)
-  void (*linear_f16)(const float* x, const uint16_t* h, const float* bias,
-                     bool fuse_relu, float* y, size_t n, size_t k, size_t m);
-  void (*sparse_linear_f16)(const uint32_t* offs, const uint32_t* cols,
-                            const float* vals, size_t n, const uint16_t* h,
-                            const float* bias, bool fuse_relu, float* y,
-                            size_t m);
 };
 
 /// Per-tier tables. A getter returns nullptr when its tier was compiled

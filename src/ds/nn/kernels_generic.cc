@@ -1,7 +1,7 @@
 // Generic kernel tier: portable scalar C++ compiled with the project's
 // baseline flags only (no -m options), so it runs on any x86-64 (or
-// non-x86) machine. Bit-for-bit identical to the AVX2 tier on the fp32 and
-// fp16 paths, and the reference everything else is parity-checked against.
+// non-x86) machine. Bit-for-bit identical to the AVX2 tier, and the
+// reference everything else is parity-checked against.
 
 #include "ds/nn/kernels_dispatch.h"
 

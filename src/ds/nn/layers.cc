@@ -27,70 +27,13 @@ Tensor Linear::Forward(const Tensor& x) {
   return y;
 }
 
-Tensor Linear::Infer(const Tensor& x) const {
-  DS_CHECK_EQ(x.rank(), 2u);
-  // Via InferInto so the single-query and batched paths read the same
-  // (possibly packed) weights — estimates must not depend on which API
-  // served them.
-  Tensor y;
-  InferInto(x, /*fuse_relu=*/false, &y);
-  return y;
-}
-
 void Linear::InferInto(const Tensor& x, bool fuse_relu, Tensor* y) const {
-  if (packed_) {
-    LinearBiasActPackedInto(x, *packed_, bias_.value, fuse_relu, y);
-  } else {
-    LinearBiasActInto(x, weight_.value, bias_.value, fuse_relu, y);
-  }
+  LinearBiasActInto(x, weight_.value, bias_.value, fuse_relu, y);
 }
 
 void Linear::InferSparseInto(const SparseRows& x, bool fuse_relu,
                              Tensor* y) const {
-  if (packed_) {
-    SparseLinearBiasActPackedInto(x, *packed_, bias_.value, fuse_relu, y);
-  } else {
-    SparseLinearBiasActInto(x, weight_.value, bias_.value, fuse_relu, y);
-  }
-}
-
-void Linear::Pack(QuantMode mode) {
-  if (mode == QuantMode::kFp32) {
-    packed_.reset();
-    return;
-  }
-  packed_ = std::make_shared<const PackedLinear>(
-      PackWeights(weight_.value, mode));
-}
-
-void Linear::WritePacked(util::BinaryWriter* writer) const {
-  if (packed_ != nullptr) {
-    packed_->Write(writer);
-    return;
-  }
-  PackedLinear unpacked;
-  unpacked.in = in_features();
-  unpacked.out = out_features();
-  unpacked.Write(writer);
-}
-
-Status Linear::ReadPacked(util::BinaryReader* reader) {
-  Result<PackedLinear> read = PackedLinear::Read(reader);
-  if (!read.ok()) return read.status();
-  PackedLinear p = std::move(read).value();
-  if (p.mode == QuantMode::kFp32) {
-    packed_.reset();
-    return Status::OK();
-  }
-  if (p.in != in_features() || p.out != out_features()) {
-    return Status::ParseError(
-        "packed weight shape [" + std::to_string(p.in) + "," +
-        std::to_string(p.out) + "] disagrees with layer [" +
-        std::to_string(in_features()) + "," + std::to_string(out_features()) +
-        "]");
-  }
-  packed_ = std::make_shared<const PackedLinear>(std::move(p));
-  return Status::OK();
+  SparseLinearBiasActInto(x, weight_.value, bias_.value, fuse_relu, y);
 }
 
 Tensor Linear::Backward(const Tensor& dy) {
@@ -176,42 +119,21 @@ Tensor Mlp::Forward(const Tensor& x) {
   return h;
 }
 
-Tensor Mlp::Infer(const Tensor& x) const {
-  Tensor h = layers_[0].Infer(x);
-  if (!relus_.empty()) ReLU::ApplyInPlace(&h);
-  for (size_t i = 1; i < layers_.size(); ++i) {
-    h = layers_[i].Infer(h);
-    if (i < relus_.size()) ReLU::ApplyInPlace(&h);
+Tensor* Mlp::InferSparseInto(const SparseRows& x, Workspace* ws) const {
+  Tensor* h = ws->Acquire();
+  layers_[0].InferSparseInto(x, /*fuse_relu=*/!relus_.empty(), h);
+  return InferDenseFrom(1, h, ws);
+}
+
+Tensor* Mlp::InferDenseFrom(size_t first, Tensor* h, Workspace* ws) const {
+  // The fused kernel handles the bias add and (when a ReLU follows) the
+  // activation; each layer writes the slot the previous one did not.
+  Tensor* other = ws->Acquire();
+  for (size_t i = first; i < layers_.size(); ++i) {
+    layers_[i].InferInto(*h, /*fuse_relu=*/i < relus_.size(), other);
+    std::swap(h, other);
   }
   return h;
-}
-
-Tensor* Mlp::InferInto(const Tensor& x, Workspace* ws) const {
-  // Two ping-pong slots: layer i reads one and writes the other. The fused
-  // kernel handles the bias add and (when a ReLU follows) the activation.
-  Tensor* a = ws->Acquire();
-  Tensor* b = ws->Acquire();
-  const Tensor* in = &x;
-  Tensor* out = a;
-  for (size_t i = 0; i < layers_.size(); ++i) {
-    layers_[i].InferInto(*in, /*fuse_relu=*/i < relus_.size(), out);
-    in = out;
-    out = (out == a) ? b : a;
-  }
-  return const_cast<Tensor*>(in);
-}
-
-Tensor* Mlp::InferSparseInto(const SparseRows& x, Workspace* ws) const {
-  Tensor* a = ws->Acquire();
-  Tensor* b = ws->Acquire();
-  layers_[0].InferSparseInto(x, /*fuse_relu=*/!relus_.empty(), a);
-  Tensor* in = a;
-  Tensor* out = b;
-  for (size_t i = 1; i < layers_.size(); ++i) {
-    layers_[i].InferInto(*in, /*fuse_relu=*/i < relus_.size(), out);
-    std::swap(in, out);
-  }
-  return in;
 }
 
 Tensor Mlp::Backward(const Tensor& dy) {
@@ -221,27 +143,6 @@ Tensor Mlp::Backward(const Tensor& dy) {
     d = layers_[i].Backward(d);
   }
   return d;
-}
-
-void Mlp::Pack(QuantMode mode) {
-  for (auto& l : layers_) l.Pack(mode);
-}
-
-void Mlp::WritePacked(util::BinaryWriter* writer) const {
-  writer->WriteU64(layers_.size());
-  for (const auto& l : layers_) l.WritePacked(writer);
-}
-
-Status Mlp::ReadPacked(util::BinaryReader* reader) {
-  uint64_t n = 0;
-  DS_RETURN_NOT_OK(reader->ReadU64(&n));
-  if (n != layers_.size()) {
-    return Status::ParseError("packed layer count mismatch: file has " +
-                              std::to_string(n) + ", model has " +
-                              std::to_string(layers_.size()));
-  }
-  for (auto& l : layers_) DS_RETURN_NOT_OK(l.ReadPacked(reader));
-  return Status::OK();
 }
 
 std::vector<Parameter*> Mlp::Parameters() {
@@ -274,30 +175,6 @@ Tensor MaskedMean::Forward(const Tensor& flat, const Tensor& mask) {
       for (size_t k = 0; k < h; ++k) orow[k] += m * frow[k];
     }
     cached_counts_[i] = count;
-    if (count > 0.0f) {
-      const float inv = 1.0f / count;
-      for (size_t k = 0; k < h; ++k) orow[k] *= inv;
-    }
-  }
-  return out;
-}
-
-Tensor MaskedMean::Pool(const Tensor& flat, const Tensor& mask) {
-  DS_CHECK_EQ(flat.rank(), 2u);
-  DS_CHECK_EQ(mask.rank(), 2u);
-  const size_t b = mask.dim(0), s = mask.dim(1), h = flat.dim(1);
-  DS_CHECK_EQ(flat.dim(0), b * s);
-  Tensor out({b, h});
-  for (size_t i = 0; i < b; ++i) {
-    float count = 0.0f;
-    float* orow = out.data() + i * h;
-    for (size_t j = 0; j < s; ++j) {
-      const float m = mask.at(i, j);
-      if (m == 0.0f) continue;
-      count += m;
-      const float* frow = flat.data() + (i * s + j) * h;
-      for (size_t k = 0; k < h; ++k) orow[k] += m * frow[k];
-    }
     if (count > 0.0f) {
       const float inv = 1.0f / count;
       for (size_t k = 0; k < h; ++k) orow[k] *= inv;

@@ -6,17 +6,16 @@
 // model flattens set dimensions into the batch dimension before calling
 // into them.
 //
-// Every layer additionally provides a const `Infer` path that computes the
-// same outputs without touching the backward caches. Inference through
-// `Infer` reads only the (immutable after training) weights, so any number
-// of threads may run it on a shared model concurrently — the property the
-// serving layer (ds::serve) relies on. `Forward` remains the training path
-// and is not thread-safe.
+// Linear and Mlp additionally provide const, workspace-backed `Infer*`
+// paths that compute the same outputs as Forward through the fused kernels
+// without touching the backward caches. They read only the (immutable after
+// training) weights, so any number of threads may run them on a shared
+// model concurrently — the property the serving layer (ds::serve) relies
+// on. `Forward` remains the training path and is not thread-safe.
 
 #ifndef DS_NN_LAYERS_H_
 #define DS_NN_LAYERS_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -51,35 +50,13 @@ class Linear {
   /// Returns dL/dx; accumulates dL/dW and dL/db. Must follow a Forward.
   Tensor Backward(const Tensor& dy);
 
-  /// Forward without caching: const, safe to call concurrently.
-  Tensor Infer(const Tensor& x) const;
-
   /// Fused allocation-free inference: *y = x W + b, then ReLU when
   /// `fuse_relu`. `y` is resized in place (zero-allocation once warm) and
-  /// must not alias `x`. Bit-for-bit identical to Infer (+ ApplyInPlace).
+  /// must not alias `x`. Bit-for-bit identical to Forward (+ ReLU).
   void InferInto(const Tensor& x, bool fuse_relu, Tensor* y) const;
 
   /// Same, with the input in CSR form (the featurized one-hot rows).
   void InferSparseInto(const SparseRows& x, bool fuse_relu, Tensor* y) const;
-
-  /// Builds (kInt8/kFp16) or clears (kFp32) the packed inference copy of
-  /// the weights; all Infer* paths route through it once set, while
-  /// Forward/Backward keep reading the fp32 parameters. Pack after
-  /// training: optimizer steps do not refresh the packed copy.
-  void Pack(QuantMode mode);
-
-  /// The storage format the inference paths currently read.
-  QuantMode quant_mode() const {
-    return packed_ ? packed_->mode : QuantMode::kFp32;
-  }
-  /// Null when unpacked (fp32 inference).
-  const PackedLinear* packed() const { return packed_.get(); }
-
-  /// Packed-weight persistence (sketch format v2). WritePacked always
-  /// emits a record — an empty kFp32 one when unpacked — so the stream
-  /// stays self-describing; ReadPacked validates shape against this layer.
-  void WritePacked(util::BinaryWriter* writer) const;
-  Status ReadPacked(util::BinaryReader* reader);
 
   std::vector<Parameter*> Parameters() { return {&weight_, &bias_}; }
   size_t in_features() const { return weight_.value.dim(0); }
@@ -88,9 +65,6 @@ class Linear {
  private:
   Parameter weight_;  // [in, out]
   Parameter bias_;    // [out]
-  // Immutable once built; shared so copied Linears (models are registry
-  // values) alias one packed copy instead of re-packing.
-  std::shared_ptr<const PackedLinear> packed_;
   Tensor cached_x_;
 };
 
@@ -135,27 +109,20 @@ class Mlp {
   void Initialize(util::Pcg32* rng);
   Tensor Forward(const Tensor& x);
   Tensor Backward(const Tensor& dy);
-  /// Forward without caching: const, safe to call concurrently.
-  Tensor Infer(const Tensor& x) const;
 
-  /// Workspace-backed inference through the fused kernels: acquires two
-  /// ping-pong slots from `ws` and returns a pointer to the one holding the
-  /// output (valid until ws->Reset()). Bit-for-bit identical to Infer.
+  /// Workspace-backed inference through the fused kernels, with the first
+  /// layer fed from CSR rows (the MSCN's sparse featurized inputs): returns
+  /// a pointer to the workspace slot holding the output (valid until
+  /// ws->Reset()). Bit-for-bit identical to Forward on ToDense() input.
   /// Concurrent calls are safe with distinct workspaces.
-  Tensor* InferInto(const Tensor& x, Workspace* ws) const;
-
-  /// Same, feeding the first layer from CSR rows (the MSCN's sparse
-  /// featurized inputs); later layers run dense.
   Tensor* InferSparseInto(const SparseRows& x, Workspace* ws) const;
 
-  /// Packs (or unpacks, for kFp32) every layer's weights for inference.
-  void Pack(QuantMode mode);
-  /// The mode the layers are packed in (layers always agree).
-  QuantMode quant_mode() const { return layers_.front().quant_mode(); }
-
-  /// Packed-weight persistence across all layers, in order.
-  void WritePacked(util::BinaryWriter* writer) const;
-  Status ReadPacked(util::BinaryReader* reader);
+  /// Runs layers [first, end) on the dense activations in `h`, ping-ponging
+  /// between `h` and one more workspace slot (so `h` is overwritten), and
+  /// returns the slot holding the output. `first` is 1 after
+  /// InferSparseInto's sparse first layer, and 0 for an MLP whose input is
+  /// dense (the MSCN output MLP, fed the pooled set vectors).
+  Tensor* InferDenseFrom(size_t first, Tensor* h, Workspace* ws) const;
 
   std::vector<Parameter*> Parameters();
 
@@ -180,11 +147,8 @@ class MaskedMean {
   /// dy is [B, H]; returns gradient for `flat` [B*S, H].
   Tensor Backward(const Tensor& dy);
 
-  /// Stateless pooling (inference path): same math as Forward, no caches.
-  static Tensor Pool(const Tensor& flat, const Tensor& mask);
-
-  /// Allocation-free Pool: `out` is resized in place to [B, H]. Bit-for-bit
-  /// identical to Pool.
+  /// Stateless, allocation-free pooling (inference path): `out` is resized
+  /// in place to [B, H]. Bit-for-bit identical to Forward, no caches.
   static void PoolInto(const Tensor& flat, const Tensor& mask, Tensor* out);
 
  private:

@@ -15,7 +15,7 @@
 //     satisfy this: they acquire a fixed number of slots per call.
 //   * A Workspace is NOT thread-safe; use one per thread (the serving layer
 //     and DeepSketch::EstimateMany keep a thread_local one).
-//   * Results returned out of a workspace-backed call (e.g. Mlp::InferInto)
+//   * Results returned out of a workspace-backed call (e.g. MscnModel::InferSparse)
 //     point into the workspace; copy them out before Reset() if they must
 //     outlive the batch.
 

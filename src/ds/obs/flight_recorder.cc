@@ -45,9 +45,9 @@ FlightRecorder::FlightRecorder(Options options)
 void FlightRecorder::Record(const FlightRecord& record) {
   FlightRecord r = record;
   r.seq = seq_.fetch_add(1, std::memory_order_relaxed);
-  recorded_.fetch_add(1, std::memory_order_relaxed);
 
   // Recent ring: claim a slot, copy under its spinlock, drop on contention.
+  // Each request counts once, as recorded or as dropped.
   const uint64_t idx = head_.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = recent_[idx % recent_.size()];
   if (slot.locked.exchange(true, std::memory_order_acquire)) {
@@ -55,6 +55,7 @@ void FlightRecorder::Record(const FlightRecord& record) {
   } else {
     slot.record = r;
     slot.locked.store(false, std::memory_order_release);
+    recorded_.fetch_add(1, std::memory_order_relaxed);
   }
 
   // Exemplar: remember the latest *traced* request per latency bucket so a

@@ -113,7 +113,8 @@ class FlightRecorder {
   /// Exemplars for every latency bucket that has one, ascending bucket.
   std::vector<Exemplar> Exemplars() const;
 
-  /// Requests recorded / dropped to ring contention.
+  /// Requests written to the recent ring / dropped to ring contention;
+  /// every Record call counts in exactly one of the two.
   uint64_t recorded() const {
     return recorded_.load(std::memory_order_relaxed);
   }

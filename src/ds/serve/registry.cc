@@ -99,10 +99,6 @@ Result<std::shared_ptr<const sketch::DeepSketch>> SketchRegistry::Get(
     return loaded.status();
   }
   loads_.Add();
-  if (options_.quant_mode != nn::QuantMode::kFp32 &&
-      loaded->quant_mode() != options_.quant_mode) {
-    loaded->SetQuantMode(options_.quant_mode);
-  }
   const size_t bytes = loaded->SerializedSize();
   auto sketch = std::make_shared<const sketch::DeepSketch>(
       std::move(loaded).value());
@@ -119,10 +115,6 @@ Result<std::shared_ptr<const sketch::DeepSketch>> SketchRegistry::Get(
 
 std::shared_ptr<const sketch::DeepSketch> SketchRegistry::Put(
     const std::string& name, sketch::DeepSketch sketch) {
-  if (options_.quant_mode != nn::QuantMode::kFp32 &&
-      sketch.quant_mode() != options_.quant_mode) {
-    sketch.SetQuantMode(options_.quant_mode);
-  }
   const size_t bytes = sketch.SerializedSize();
   auto shared =
       std::make_shared<const sketch::DeepSketch>(std::move(sketch));

@@ -51,12 +51,6 @@ struct RegistryOptions {
   /// Lock striping width. More shards, less contention; clamped to >= 1.
   size_t num_shards = 8;
 
-  /// Quantization applied to sketches entering the registry (Put and disk
-  /// loads): models are packed to this mode *before* publication, so every
-  /// serving thread sees the packed weights from the first estimate.
-  /// kFp32 means "leave sketches as they arrive" — it never strips packed
-  /// weights a sketch file already carries.
-  nn::QuantMode quant_mode = nn::QuantMode::kFp32;
 };
 
 class SketchRegistry {

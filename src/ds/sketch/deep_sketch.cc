@@ -14,10 +14,80 @@ namespace ds::sketch {
 
 namespace {
 constexpr uint32_t kMagic = 0x44534b54;  // "DSKT"
-// v1: config + samples + feature space + normalizer + fp32 model.
-// v2: v1 + quantization section (per-layer packed weights; possibly all
-//     empty fp32 records). Readers accept both; v1 files load as fp32.
-constexpr uint32_t kVersion = 2;
+// v1: config + samples + feature space + normalizer + fp32 model. Written.
+// v2: v1 + a quantization section (packed int8/fp16 copies of the weights,
+//     or empty fp32 records). Read, validated and discarded.
+constexpr uint32_t kVersion = 1;
+constexpr uint32_t kMaxReadVersion = 2;
+
+// The v2 quantization section: a mode byte (0 fp32, 1 fp16, 2 int8), then
+// for each MLP (table, join, pred, out) a u64 layer count and, per layer,
+// a record: mode u8, in u64, out u64, then int8 codes, fp16 halves and
+// fp32 scales as count-prefixed vectors. Every record repeats the header
+// mode and carries exactly the payload that mode needs for its shape.
+Status SkipV2QuantSection(util::BinaryReader* r, const mscn::ModelConfig& c) {
+  constexpr uint8_t kFp32 = 0, kFp16 = 1, kInt8 = 2;
+  uint8_t mode = 0;
+  DS_RETURN_NOT_OK(r->ReadU8(&mode));
+  if (mode > kInt8) {
+    return Status::ParseError("invalid sketch quant mode " +
+                              std::to_string(mode));
+  }
+  const uint64_t h = c.hidden_units;
+  const std::vector<std::vector<std::pair<uint64_t, uint64_t>>> mlps = {
+      {{c.table_dim, h}, {h, h}},
+      {{c.join_dim, h}, {h, h}},
+      {{c.pred_dim, h}, {h, h}},
+      {{3 * h, h}, {h, 1}}};
+  for (const auto& layers : mlps) {
+    uint64_t n = 0;
+    DS_RETURN_NOT_OK(r->ReadU64(&n));
+    if (n != layers.size()) {
+      return Status::ParseError("packed layer count mismatch: file has " +
+                                std::to_string(n) + ", model has " +
+                                std::to_string(layers.size()));
+    }
+    for (const auto& [in, out] : layers) {
+      uint8_t record_mode = 0;
+      uint64_t record_in = 0, record_out = 0;
+      DS_RETURN_NOT_OK(r->ReadU8(&record_mode));
+      DS_RETURN_NOT_OK(r->ReadU64(&record_in));
+      DS_RETURN_NOT_OK(r->ReadU64(&record_out));
+      // Cap the shape before computing in * out, so corrupt dimensions
+      // cannot wrap the cell count into a match for the payload sizes.
+      if (record_in > (uint64_t{1} << 20) || record_out > (uint64_t{1} << 20)) {
+        return Status::ParseError("implausible packed weight shape " +
+                                  std::to_string(record_in) + "x" +
+                                  std::to_string(record_out));
+      }
+      std::vector<int8_t> q;
+      std::vector<uint16_t> half;
+      std::vector<float> scales;
+      DS_RETURN_NOT_OK(r->ReadPodVector(&q));
+      DS_RETURN_NOT_OK(r->ReadPodVector(&half));
+      DS_RETURN_NOT_OK(r->ReadPodVector(&scales));
+      const uint64_t cells = record_in * record_out;
+      const bool payload_ok =
+          (record_mode == kInt8 && q.size() == cells &&
+           scales.size() == record_out && half.empty()) ||
+          (record_mode == kFp16 && half.size() == cells && q.empty() &&
+           scales.empty()) ||
+          (record_mode == kFp32 && q.empty() && half.empty() &&
+           scales.empty());
+      if (record_mode != mode || !payload_ok) {
+        return Status::ParseError(
+            "packed weight record disagrees with its mode/shape header");
+      }
+      if (mode != kFp32 && (record_in != in || record_out != out)) {
+        return Status::ParseError(
+            "packed weight shape [" + std::to_string(record_in) + "," +
+            std::to_string(record_out) + "] disagrees with layer [" +
+            std::to_string(in) + "," + std::to_string(out) + "]");
+      }
+    }
+  }
+  return Status::OK();
+}
 }  // namespace
 
 Result<DeepSketch> DeepSketch::Train(const storage::Catalog& db,
@@ -180,28 +250,9 @@ Result<double> DeepSketch::EstimateSql(const std::string& sql) const {
 
 Result<double> DeepSketch::EstimateCardinality(
     const workload::QuerySpec& spec) const {
-  auto features =
-      use_sample_bitmaps_
-          ? space_.FeaturizeWithSamples(spec, samples_)
-          : [&]() -> Result<mscn::QueryFeatures> {
-              DS_ASSIGN_OR_RETURN(workload::QuerySpec resolved,
-                                  mscn::ResolveStringLiterals(spec, samples_));
-              return space_.Featurize(resolved, {});
-            }();
-  if (!features.ok()) {
-    if (features.status().code() == StatusCode::kNotFound) {
-      // A categorical literal that does not exist anywhere in the data: the
-      // true count is 0; estimate the minimum.
-      return 1.0;
-    }
-    return features.status();
-  }
-  mscn::Dataset single;
-  single.features.push_back(std::move(features).value());
-  single.labels.push_back(0);
-  mscn::Batch batch = mscn::MakeBatch(single, {0}, space_);
-  nn::Tensor y = model_->Infer(batch);
-  return normalizer_.Denormalize(static_cast<double>(y.at(0)));
+  std::vector<Result<double>> out;
+  EstimateManyInto(std::span(&spec, 1), &out);
+  return std::move(out.front());
 }
 
 std::vector<Result<double>> DeepSketch::EstimateMany(
@@ -240,7 +291,7 @@ EstimateScratch& LocalEstimateScratch() {
 
 }  // namespace
 
-void DeepSketch::EstimateManyInto(const std::vector<workload::QuerySpec>& specs,
+void DeepSketch::EstimateManyInto(std::span<const workload::QuerySpec> specs,
                                   std::vector<Result<double>>* out) const {
   EstimateScratch& s = LocalEstimateScratch();
   out->assign(specs.size(), Result<double>(1.0));
@@ -316,11 +367,6 @@ void DeepSketch::Write(util::BinaryWriter* w) const {
   space_.Write(w);
   normalizer_.Write(w);
   model_->Write(w);
-  // v2 quantization section. The packed bytes ride along with the fp32
-  // weights so a loaded sketch starts hot (no re-pack, and the pack that
-  // was parity-gated is the pack that serves).
-  w->WriteU8(static_cast<uint8_t>(model_->quant_mode()));
-  model_->WritePacked(w);
 }
 
 Result<DeepSketch> DeepSketch::Read(util::BinaryReader* r) {
@@ -330,7 +376,7 @@ Result<DeepSketch> DeepSketch::Read(util::BinaryReader* r) {
     return Status::ParseError("not a deep sketch file");
   }
   DS_RETURN_NOT_OK(r->ReadU32(&version));
-  if (version < 1 || version > kVersion) {
+  if (version < 1 || version > kMaxReadVersion) {
     return Status::ParseError("unsupported sketch version " +
                               std::to_string(version));
   }
@@ -393,23 +439,8 @@ Result<DeepSketch> DeepSketch::Read(util::BinaryReader* r) {
         std::to_string(sketch.space_.join_dim()) + "," +
         std::to_string(sketch.space_.pred_dim()) + "]");
   }
+  if (version == 2) DS_RETURN_NOT_OK(SkipV2QuantSection(r, mc));
   sketch.model_ = std::make_unique<mscn::MscnModel>(std::move(model));
-  if (version >= 2) {
-    uint8_t mode = 0;
-    DS_RETURN_NOT_OK(r->ReadU8(&mode));
-    if (mode > static_cast<uint8_t>(nn::QuantMode::kInt8)) {
-      return Status::ParseError("invalid sketch quant mode " +
-                                std::to_string(mode));
-    }
-    DS_RETURN_NOT_OK(sketch.model_->ReadPacked(r));
-    if (sketch.model_->quant_mode() != static_cast<nn::QuantMode>(mode)) {
-      return Status::ParseError("sketch quant header says " +
-                                std::string(nn::QuantModeName(
-                                    static_cast<nn::QuantMode>(mode))) +
-                                " but packed layers are " +
-                                nn::QuantModeName(sketch.model_->quant_mode()));
-    }
-  }
   DS_RETURN_NOT_OK(sketch.BuildSampleCatalog());
   return sketch;
 }

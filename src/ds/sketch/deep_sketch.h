@@ -16,6 +16,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -97,16 +98,20 @@ class DeepSketch final : public est::CardinalityEstimator {
 
   // --- Figure 1b: SQL in, estimate out -------------------------------------
   //
+  // Every estimate, single or batched, runs through EstimateManyInto and
+  // MscnModel::InferSparse, so all entry points return identical doubles.
+  //
   // Thread-safety: all estimation and binding methods are const and touch no
-  // mutable state (inference runs through MscnModel::Infer), so a trained or
-  // loaded sketch may be shared by any number of concurrently estimating
-  // threads without external synchronization.
+  // shared mutable state (scratch is thread-local), so a trained or loaded
+  // sketch may be shared by any number of concurrently estimating threads
+  // without external synchronization.
 
   /// Estimates the result size of a SQL COUNT(*) query. Unknown categorical
   /// literals (strings absent from the data) estimate 1 tuple.
   Result<double> EstimateSql(const std::string& sql) const;
 
-  /// Estimator interface over pre-bound query specs.
+  /// Estimator interface over pre-bound query specs: a one-element
+  /// EstimateManyInto.
   Result<double> EstimateCardinality(
       const workload::QuerySpec& spec) const override;
   std::string name() const override { return "Deep Sketch"; }
@@ -121,11 +126,11 @@ class DeepSketch final : public est::CardinalityEstimator {
       const std::vector<workload::QuerySpec>& specs) const;
 
   /// EstimateMany into a caller-reused results vector — the serving hot
-  /// path. Featurization runs sparse (CSR rows straight into the fused
-  /// sparse kernels) and every intermediate lives in thread-local scratch
-  /// that keeps its capacity, so steady-state batches perform zero heap
-  /// allocations. Results are identical to EstimateMany.
-  void EstimateManyInto(const std::vector<workload::QuerySpec>& specs,
+  /// path and the only inference path. Featurization runs sparse (CSR rows
+  /// straight into the fused sparse kernels) and every intermediate lives
+  /// in thread-local scratch that keeps its capacity, so steady-state
+  /// batches perform zero heap allocations.
+  void EstimateManyInto(std::span<const workload::QuerySpec> specs,
                         std::vector<Result<double>>* out) const;
 
   /// Parses and binds SQL against the sketch's embedded schema (the template
@@ -143,18 +148,16 @@ class DeepSketch final : public est::CardinalityEstimator {
   const std::vector<std::string>& tables() const { return tables_; }
   size_t num_model_parameters() const { return model_->NumParameters(); }
 
-  /// Packs (kInt8/kFp16) or unpacks (kFp32) the model's weights for the
-  /// inference paths; Save() persists the packed bytes (format v2). NOT
-  /// thread-safe — set the mode before sharing the sketch with estimating
-  /// threads (SketchRegistry applies it in Put, before publication).
-  void SetQuantMode(nn::QuantMode mode) { model_->Pack(mode); }
-  nn::QuantMode quant_mode() const { return model_->quant_mode(); }
-
   /// Training curve of the run that produced this sketch (empty after
   /// loading from disk; the curve is not persisted).
   const mscn::TrainingReport& training_report() const { return report_; }
 
   // --- Persistence --------------------------------------------------------------
+  //
+  // Write emits format v1: config, samples, feature space, normalizer and
+  // the fp32 model. Read also accepts v2, which appends a packed int8/fp16
+  // weight section; it is validated and discarded, so a v2 sketch serves
+  // its fp32 weights.
 
   void Write(util::BinaryWriter* writer) const;
   static Result<DeepSketch> Read(util::BinaryReader* reader);

@@ -28,7 +28,6 @@ CpuFeatures Detect() {
   const bool osxsave = (ecx & (1u << 27)) != 0;
   const bool cpu_avx = (ecx & (1u << 28)) != 0;
   const bool cpu_fma = (ecx & (1u << 12)) != 0;
-  const bool cpu_f16c = (ecx & (1u << 29)) != 0;
 
   unsigned eax7 = 0, ebx7 = 0, ecx7 = 0, edx7 = 0;
   const bool have7 =
@@ -41,14 +40,13 @@ CpuFeatures Detect() {
   if (!osxsave) return f;  // OS saves no extended state: nothing above SSE
   const uint64_t xcr0 = ReadXcr0();
   // XCR0: bit1 SSE(XMM), bit2 AVX(YMM), bits 5..7 AVX-512 (opmask, ZMM
-  // low/high). YMM state required for AVX/AVX2/FMA/F16C; ZMM for AVX-512.
+  // low/high). YMM state required for AVX/AVX2/FMA; ZMM for AVX-512.
   const bool ymm_saved = (xcr0 & 0x6) == 0x6;
   const bool zmm_saved = (xcr0 & 0xe6) == 0xe6;
 
   f.avx = cpu_avx && ymm_saved;
   f.avx2 = cpu_avx2 && ymm_saved;
   f.fma = cpu_fma && ymm_saved;
-  f.f16c = cpu_f16c && ymm_saved;
   f.avx512f = cpu_avx512f && zmm_saved;
   f.avx512bw = cpu_avx512bw && zmm_saved;
   f.avx512vl = cpu_avx512vl && zmm_saved;
@@ -73,7 +71,6 @@ std::string CpuFeatures::ToString() const {
   add(avx, "avx");
   add(avx2, "avx2");
   add(fma, "fma");
-  add(f16c, "f16c");
   add(avx512f, "avx512f");
   add(avx512bw, "avx512bw");
   add(avx512vl, "avx512vl");

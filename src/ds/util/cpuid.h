@@ -27,12 +27,11 @@ struct CpuFeatures {
   bool avx = false;
   bool avx2 = false;
   bool fma = false;      // FMA3
-  bool f16c = false;     // half-precision convert (VCVTPH2PS / VCVTPS2PH)
   bool avx512f = false;
   bool avx512bw = false;
   bool avx512vl = false;
 
-  /// "avx2 fma f16c ..." — for logs and the bench JSON envelope.
+  /// "avx2 fma ..." — for logs and the bench JSON envelope.
   std::string ToString() const;
 };
 

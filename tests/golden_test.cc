@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -134,6 +135,19 @@ TEST_P(GoldenTest, EveryEstimatePathReproducesTheRecordedEstimates) {
     ExpectGolden(again.at(i).value(), goldens[i], default_tier, "reloaded");
   }
   std::remove(path.c_str());
+}
+
+TEST_P(GoldenTest, SaveWritesFormatV1WithoutThePackedSection) {
+  const std::string name = GetParam();
+  const DeepSketch sketch = LoadFixture(name);
+  util::BinaryWriter w;
+  sketch.Write(&w);
+  util::BinaryReader r(w.buffer());
+  uint32_t magic = 0, version = 0;
+  ASSERT_TRUE(r.ReadU32(&magic).ok());
+  ASSERT_TRUE(r.ReadU32(&version).ok());
+  EXPECT_EQ(version, 1u);
+  EXPECT_LT(w.size(), std::filesystem::file_size(DataPath(name + ".sketch")));
 }
 
 INSTANTIATE_TEST_SUITE_P(Fixtures, GoldenTest,

@@ -201,16 +201,26 @@ TEST_F(MscnTest, ModelInferMatchesForward) {
   util::Pcg32 rng(7);
   model.Initialize(&rng);
 
+  const workload::QuerySpec specs[] = {
+      Q("SELECT COUNT(*) FROM movie WHERE year = 2003"),
+      Q("SELECT COUNT(*) FROM movie m, rating r WHERE r.movie_id = m.id")};
   Dataset ds;
-  ds.features.push_back(space_.FeaturizeWithSamples(
-      Q("SELECT COUNT(*) FROM movie WHERE year = 2003"), samples_).value());
-  ds.features.push_back(space_.FeaturizeWithSamples(
-      Q("SELECT COUNT(*) FROM movie m, rating r WHERE r.movie_id = m.id"),
-      samples_).value());
+  mscn::FeaturizeScratch scratch;
+  mscn::SparseQueryFeatures sparse[2];
+  for (size_t i = 0; i < 2; ++i) {
+    ds.features.push_back(
+        space_.FeaturizeWithSamples(specs[i], samples_).value());
+    ASSERT_TRUE(space_.FeaturizeSparse(specs[i], samples_, /*use_bitmaps=*/true,
+                                       &scratch, &sparse[i])
+                    .ok());
+  }
   ds.labels = {3, 40};
   Batch batch = MakeBatch(ds, {0, 1}, space_);
   nn::Tensor trained = model.Forward(batch);
-  nn::Tensor inferred = model.Infer(batch);
+  mscn::SparseBatch sbatch;
+  mscn::PackSparseBatch({&sparse[0], &sparse[1]}, space_, &sbatch);
+  nn::Workspace ws;
+  const nn::Tensor& inferred = *model.InferSparse(sbatch, &ws);
   ASSERT_EQ(inferred.size(), trained.size());
   for (size_t i = 0; i < trained.size(); ++i) {
     EXPECT_FLOAT_EQ(inferred.at(i), trained.at(i)) << i;

@@ -162,15 +162,25 @@ TEST(MlpTest, InferMatchesForward) {
   mlp.Initialize(&rng);
   Tensor x({3, 4});
   for (float& v : x.vec()) v = static_cast<float>(rng.Normal());
+  SparseRows xs;
+  xs.Clear(4);
+  for (size_t i = 0; i < 3; ++i) {
+    for (size_t j = 0; j < 4; ++j) {
+      xs.Push(static_cast<uint32_t>(j), x.at(i, j));
+    }
+    xs.EndRow();
+  }
   Tensor trained = mlp.Forward(x);
-  Tensor inferred = mlp.Infer(x);
+  Workspace ws;
+  const Tensor& inferred = *mlp.InferSparseInto(xs, &ws);
   ASSERT_EQ(inferred.size(), trained.size());
   for (size_t i = 0; i < trained.size(); ++i) {
     EXPECT_FLOAT_EQ(inferred.at(i), trained.at(i)) << i;
   }
-  // Infer must leave no trace: a Backward after Infer still sees the
+  // Inference must leave no trace: a Backward after it still sees the
   // activations cached by the last Forward.
-  mlp.Infer(x);
+  ws.Reset();
+  mlp.InferSparseInto(xs, &ws);
   mlp.Backward(SumSquaresGrad(trained));
 }
 
@@ -196,7 +206,8 @@ TEST(MaskedMeanTest, PoolMatchesForward) {
   Tensor mask = Tensor::FromData({2, 3}, {1, 1, 0, 1, 0, 0});
   MaskedMean pool;
   Tensor want = pool.Forward(flat, mask);
-  Tensor got = MaskedMean::Pool(flat, mask);
+  Tensor got;
+  MaskedMean::PoolInto(flat, mask, &got);
   ASSERT_EQ(got.size(), want.size());
   for (size_t i = 0; i < want.size(); ++i) {
     EXPECT_FLOAT_EQ(got.at(i), want.at(i));
