@@ -67,10 +67,6 @@ Tensor ReLU::Backward(const Tensor& dy) {
   return dx;
 }
 
-void ReLU::ApplyInPlace(Tensor* x) {
-  for (float& v : x->vec()) v = v > 0.0f ? v : 0.0f;
-}
-
 Tensor Sigmoid::Forward(Tensor x) {
   for (float& v : x.vec()) v = 1.0f / (1.0f + std::exp(-v));
   cached_y_ = x;

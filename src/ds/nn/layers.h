@@ -77,9 +77,6 @@ class ReLU {
   Tensor Forward(Tensor x);
   Tensor Backward(const Tensor& dy);
 
-  /// In-place max(0, x) with no caching (inference path).
-  static void ApplyInPlace(Tensor* x);
-
  private:
   Tensor cached_y_;
 };

@@ -92,7 +92,7 @@ TEST(KernelTest, FusedLinearBiasActMatchesUnfusedBitForBit) {
     for (bool relu : {false, true}) {
       Tensor want = nn::MatMul(x, w);
       nn::AddBiasRows(&want, b);
-      if (relu) nn::ReLU::ApplyInPlace(&want);
+      if (relu) want = nn::ReLU().Forward(std::move(want));
       Tensor got;
       LinearBiasActInto(x, w, b, relu, &got);
       ExpectBitIdentical(want, got);

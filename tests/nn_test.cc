@@ -186,16 +186,11 @@ TEST(MlpTest, InferMatchesForward) {
 
 TEST(ActivationTest, ApplyInPlaceMatchesForward) {
   Tensor x = Tensor::FromData({2, 2}, {-1.5f, 0.0f, 0.5f, 3.0f});
-  ReLU relu;
-  Tensor want_relu = relu.Forward(x);
-  Tensor got_relu = x;
-  ReLU::ApplyInPlace(&got_relu);
   Sigmoid sigmoid;
   Tensor want_sig = sigmoid.Forward(x);
   Tensor got_sig = x;
   Sigmoid::ApplyInPlace(&got_sig);
   for (size_t i = 0; i < x.size(); ++i) {
-    EXPECT_FLOAT_EQ(got_relu.at(i), want_relu.at(i));
     EXPECT_FLOAT_EQ(got_sig.at(i), want_sig.at(i));
   }
 }
