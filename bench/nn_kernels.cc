@@ -11,9 +11,8 @@
 // With check=1 the binary exits nonzero when:
 //   * a tier's outputs disagree with the generic tier's: it iterates every
 //     dispatch tier available in this process (SetKernelTier; CI forces
-//     builds/processes into specific tiers with DS_KERNEL_TIER) and checks
-//     fused/sparse outputs — bit-identical for avx2, tolerance-bounded for
-//     the FMA-contracting fma/avx512 tiers;
+//     builds/processes into specific tiers with DS_KERNEL_TIER) and
+//     requires bit-identical fused/sparse outputs on every tier;
 //   * the kernel path is slower than the scalar reference on any shape
 //     (vectorized tiers only), or a steady-state op allocates.
 //
@@ -25,7 +24,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cmath>
 #include <cstdio>
 #include <functional>
 #include <string>
@@ -69,7 +67,7 @@ nn::SparseRows ToSparse(const Tensor& dense) {
 
 /// The scalar y = relu(x*W + b) loop in tensor.h accumulation order, into a
 /// pre-sized output: zero allocations, zero SIMD — the floor every tier is
-/// gated against and the bit-exactness oracle for generic/avx2.
+/// gated against, in the tensor.h accumulation order every tier shares.
 void ReferenceLinear(const Tensor& x, const Tensor& w, const Tensor& b,
                      Tensor* y) {
   const size_t n = x.dim(0), k = x.dim(1), m = w.dim(1);
@@ -100,15 +98,6 @@ struct Shape {
   size_t rows, in, out;
   double sparsity;  // zero fraction of the input
 };
-
-double MaxRelDiff(const Tensor& a, const Tensor& b) {
-  double worst = 0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    const double denom = std::max(1.0, std::fabs(double{a.at(i)}));
-    worst = std::max(worst, std::fabs(double{a.at(i)} - b.at(i)) / denom);
-  }
-  return worst;
-}
 
 bool BitIdentical(const Tensor& a, const Tensor& b) {
   for (size_t i = 0; i < a.size(); ++i) {
@@ -193,9 +182,8 @@ int main(int argc, char** argv) {
   }
 
   if (check) {
-    // Parity sweep: every tier this process can run, against the generic
-    // tier's outputs. avx2 must be bit-identical; fma/avx512 contract to
-    // FMA and get a tolerance.
+    // Bit-identity sweep: every tier this process can run must reproduce
+    // the generic tier's outputs exactly.
     const nn::KernelTier entry_tier = nn::ActiveKernelTier();
     for (const Shape& sh : shapes) {
       Tensor x = RandomTensor({sh.rows, sh.in}, &rng, sh.sparsity);
@@ -222,15 +210,10 @@ int main(int argc, char** argv) {
           DS_CHECK(nn::SetKernelTier(t));
           Tensor got;
           v.run(&got);
-          if (t == nn::KernelTier::kAvx2 && !BitIdentical(expect, got)) {
+          if (!BitIdentical(expect, got)) {
             std::printf("check FAIL: %s on tier %s is not bit-identical to "
                         "generic (%s)\n",
                         v.name, nn::KernelTierName(t), sh.name);
-            ok = false;
-          } else if (double d = MaxRelDiff(expect, got); d > 1e-4) {
-            std::printf("check FAIL: %s on tier %s drifted %.2e from "
-                        "generic (%s)\n",
-                        v.name, nn::KernelTierName(t), d, sh.name);
             ok = false;
           }
         }

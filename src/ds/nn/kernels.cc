@@ -24,7 +24,7 @@ void CountKernel(std::atomic<uint64_t>& which, uint64_t macs, uint64_t bytes) {
   s.bytes.fetch_add(bytes, std::memory_order_relaxed);
 }
 
-constexpr int kNumTiers = 4;
+constexpr int kNumTiers = 2;
 
 // Tables for every tier this process can actually run: compiled in
 // (non-null getter) AND supported by CPU + OS state saving. Computed once.
@@ -34,45 +34,31 @@ const detail::KernelOps* const* AvailableOps() {
     const util::CpuFeatures& f = util::DetectCpuFeatures();
     ops[0] = detail::GetGenericOps();
     DS_REQUIRE(ops[0] != nullptr, "generic kernel tier missing from binary");
-    if (f.avx2) {
-      ops[1] = detail::GetAvx2Ops();
-      if (f.fma) ops[2] = detail::GetAvx2FmaOps();
-      if (f.avx512f && f.avx512bw && f.avx512vl && f.fma) {
-        ops[3] = detail::GetAvx512Ops();
-      }
-    }
+    if (f.avx2) ops[1] = detail::GetAvx2Ops();
     return static_cast<const detail::KernelOps* const*>(ops);
   }();
   return table;
 }
 
-/// Best tier whose fp32 numerics are bit-identical to the references
-/// (generic/AVX2 — never FMA), i.e. the safe default.
-KernelTier BestBitStableTier() {
+/// The best available tier: AVX2 when the CPU and build have it.
+KernelTier BestTier() {
   return AvailableOps()[1] != nullptr ? KernelTier::kAvx2
                                       : KernelTier::kGeneric;
 }
 
 KernelTier ResolveTierFromEnv() {
-  const KernelTier fallback = BestBitStableTier();
+  const KernelTier fallback = BestTier();
   const char* env = std::getenv("DS_KERNEL_TIER");
   if (env == nullptr || *env == '\0') return fallback;
   const std::string req(env);
   const detail::KernelOps* const* ops = AvailableOps();
-  if (req == "native") {
-    for (int t = kNumTiers - 1; t >= 0; --t) {
-      if (ops[t] != nullptr) return static_cast<KernelTier>(t);
-    }
-  }
   int want = -1;
   if (req == "generic") want = 0;
   else if (req == "avx2") want = 1;
-  else if (req == "fma" || req == "avx2fma" || req == "avx2+fma") want = 2;
-  else if (req == "avx512") want = 3;
   if (want < 0) {
     std::fprintf(stderr,
-                 "[ds] DS_KERNEL_TIER='%s' not recognized (want generic, "
-                 "avx2, fma, avx512, or native); using %s\n",
+                 "[ds] DS_KERNEL_TIER='%s' not recognized (want generic or "
+                 "avx2); using %s\n",
                  env, KernelTierName(fallback));
     return fallback;
   }
@@ -108,8 +94,6 @@ const char* KernelTierName(KernelTier tier) {
   switch (tier) {
     case KernelTier::kGeneric: return "generic";
     case KernelTier::kAvx2: return "avx2";
-    case KernelTier::kAvx2Fma: return "fma";
-    case KernelTier::kAvx512: return "avx512";
   }
   return "unknown";
 }

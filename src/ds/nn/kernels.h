@@ -7,22 +7,19 @@
 //   * "-Into" variants write into caller-provided, pre-sized tensors, so a
 //     steady-state inference batch touches no allocator at all (pair them
 //     with nn::Workspace).
-//   * Every kernel body is compiled several times into *tiers* — generic
-//     (portable, auto-vectorizable), AVX2, AVX2+FMA, and AVX-512 — in
-//     separate translation units with per-file target flags (see
-//     src/CMakeLists.txt). A dispatch table picks the tier at first use
-//     from runtime CPU detection (ds/util/cpuid.h), so one binary runs
-//     correctly on baseline x86-64 and fast on whatever it lands on. The
-//     DS_KERNEL_TIER environment variable (generic|avx2|fma|avx512|native)
-//     overrides the choice; SetKernelTier() does the same programmatically
-//     for tests and benches.
-//   * Numerics per tier: generic and AVX2 use mul+add in the same k-order,
-//     so they are bit-for-bit identical to the tensor.h references (and to
-//     each other) — which is why AVX2 is the *default* ceiling: estimates
-//     stay reproducible across machines. The FMA and AVX-512 tiers contract
-//     to fused multiply-add (rounding once instead of twice); they are
-//     opt-in via DS_KERNEL_TIER=fma|avx512|native and parity-gated to a
-//     tolerance by bench_nn_kernels check=1.
+//   * Every kernel body is compiled twice into *tiers* — generic (portable,
+//     auto-vectorizable) and AVX2 — in separate translation units with
+//     per-file target flags (see src/CMakeLists.txt). A dispatch table
+//     picks the tier at first use from runtime CPU detection
+//     (ds/util/cpuid.h), so one binary runs correctly on baseline x86-64
+//     and uses AVX2 where the CPU has it. The DS_KERNEL_TIER environment
+//     variable (generic|avx2) overrides the choice; SetKernelTier() does
+//     the same programmatically for tests and benches.
+//   * Numerics: both tiers use mul+add (never fused multiply-add) in the
+//     same k-order, so the inference kernels are bit-for-bit identical to
+//     the tensor.h references and to each other, and an estimate does not
+//     depend on the machine. DESIGN.md §8 records why the FMA and AVX-512
+//     tiers were removed.
 //   * LinearBiasActInto fuses x*W + b (+ ReLU) into one pass. Weights are
 //     fp32; DESIGN.md §8 records why packed int8/fp16 weights are not used.
 //   * SparseRows is a CSR representation of the MSCN's one-hot/bitmap
@@ -51,7 +48,7 @@ namespace ds::nn {
 
 /// Process-wide kernel counters (relaxed atomics; one update per kernel
 /// call, so the instrumentation cost is a few nanoseconds per layer per
-/// batch). The serving layer and benchmarks export these as obs gauges.
+/// batch). The serving layer exports these as obs counters.
 struct KernelStats {
   std::atomic<uint64_t> dense_calls{0};   // MatMulInto and transposed forms
   std::atomic<uint64_t> fused_calls{0};   // LinearBiasActInto
@@ -65,13 +62,10 @@ KernelStats& GlobalKernelStats();
 // ---- Runtime dispatch ----------------------------------------------------------
 
 /// Kernel tiers, ordered: a higher tier never lacks an instruction a lower
-/// one uses. kGeneric and kAvx2 are bit-identical; kAvx2Fma and kAvx512
-/// contract to FMA (tolerance-bounded vs the others).
+/// one uses. Their inference kernels are bit-identical.
 enum class KernelTier : int {
   kGeneric = 0,
   kAvx2 = 1,
-  kAvx2Fma = 2,
-  kAvx512 = 3,
 };
 
 const char* KernelTierName(KernelTier tier);
@@ -81,10 +75,9 @@ const char* KernelTierName(KernelTier tier);
 std::vector<KernelTier> AvailableKernelTiers();
 
 /// The tier the dispatch table currently routes through. First call
-/// resolves the default: the best *bit-stable* tier (AVX2 when available),
-/// unless DS_KERNEL_TIER requests otherwise ("native" = fastest available
-/// including FMA/AVX-512; unknown or unavailable values fall back and warn
-/// on stderr once).
+/// resolves the default: AVX2 when available, else generic, unless
+/// DS_KERNEL_TIER requests otherwise (unknown or unavailable values fall
+/// back and warn on stderr once).
 KernelTier ActiveKernelTier();
 
 /// Forces the active tier. Returns false (and changes nothing) when the

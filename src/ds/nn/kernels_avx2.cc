@@ -1,7 +1,7 @@
-// AVX2 kernel tier (no FMA): 8/16-wide mul-then-add in the reference
-// k-order, so outputs stay bit-for-bit identical to the generic tier and
-// the tensor.h references — which is why this is the default dispatch
-// ceiling.
+// AVX2 kernel tier: 8/16-wide mul-then-add (never FMA) in the reference
+// k-order, so inference outputs stay bit-for-bit identical to the generic
+// tier and the tensor.h references. The dispatcher picks it whenever the
+// CPU has AVX2.
 //
 // Compiled with -mavx2 via per-file flags (src/CMakeLists.txt);
 // when the toolchain or DS_ENABLE_AVX2=OFF withholds them, this TU
@@ -15,7 +15,6 @@
 
 #define DS_TIER_NS avx2
 #define DS_TIER_SIMD 256
-#define DS_TIER_FMA 0
 #include "ds/nn/kernels_tier.inl"
 
 namespace ds::nn::detail {

@@ -1,14 +1,13 @@
 // Internal kernel dispatch table — the seam between the public, validating
 // kernel wrappers (kernels.cc) and the per-tier implementations
-// (kernels_generic.cc / kernels_avx2.cc / kernels_avx2_fma.cc /
-// kernels_avx512.cc).
+// (kernels_generic.cc / kernels_avx2.cc).
 //
-// Tier translation units are compiled with per-file target flags
-// (-mavx2, -mfma, -mavx512*; see src/CMakeLists.txt), so they must not
-// export anything the baseline binary could accidentally link against:
-// a vague-linkage (inline/template) function compiled in an AVX-512 TU can
-// be the copy the linker keeps, and then a pre-AVX machine faults on code
-// the dispatcher never chose. Hence the rules for this header and the
+// The AVX2 tier translation unit is compiled with a per-file target flag
+// (-mavx2; see src/CMakeLists.txt), so it must not export anything the
+// baseline binary could accidentally link against: a vague-linkage
+// (inline/template) function compiled in an AVX2 TU can be the copy the
+// linker keeps, and then a pre-AVX2 machine faults on code the dispatcher
+// never chose. Hence the rules for this header and the
 // tier TUs:
 //
 //   * this header declares only the raw-pointer table and the per-tier
@@ -57,8 +56,6 @@ struct KernelOps {
 /// GetGenericOps() never returns nullptr.
 const KernelOps* GetGenericOps();
 const KernelOps* GetAvx2Ops();
-const KernelOps* GetAvx2FmaOps();
-const KernelOps* GetAvx512Ops();
 
 }  // namespace ds::nn::detail
 

@@ -1,10 +1,11 @@
-// A per-thread tensor arena for allocation-free inference.
+// A per-thread tensor pool for allocation-free inference.
 //
 // Workspace hands out Tensor (and SparseRows) slots in acquisition order and
 // keeps their buffers alive across Reset(), so a steady-state inference
 // batch — one Reset() + a fixed sequence of Acquire() calls, each resized
 // via Tensor::ResizeInPlace — touches the heap only while the workspace is
-// still warming up to the largest batch it has seen.
+// still warming up to the largest batch it has seen. Slot growth goes
+// through the counted global operator new, so util::AllocCount sees it.
 //
 // Ownership rules (see DESIGN.md "Kernel layer"):
 //   * The workspace owns every slot. Pointers returned by Acquire() stay
@@ -24,11 +25,9 @@
 
 #include <cstddef>
 #include <deque>
-#include <memory>
 
 #include "ds/nn/kernels.h"
 #include "ds/nn/tensor.h"
-#include "ds/util/arena.h"
 
 namespace ds::nn {
 
@@ -38,27 +37,10 @@ class Workspace {
   Workspace(const Workspace&) = delete;
   Workspace& operator=(const Workspace&) = delete;
 
-  /// Backs tensor-slot growth with a huge-page bump arena (see
-  /// ds/util/arena.h). Call on the owning thread — ideally right after it
-  /// was pinned (serve worker loops), so the prefault lands the pages on
-  /// that worker's NUMA node via first-touch. Slots that already grew heap
-  /// buffers keep them until their next growth. Idempotent.
-  void EnableArena(const util::ArenaOptions& options = {}) {
-    if (arena_) return;
-    arena_ = std::make_unique<util::Arena>(options);
-    for (Tensor& t : tensors_) t.BindArena(arena_.get());
-  }
-
-  /// Null until EnableArena.
-  const util::Arena* arena() const { return arena_.get(); }
-
   /// Next tensor slot. Shape/contents are whatever the previous user left;
   /// callers size it with ResizeInPlace and overwrite.
   Tensor* Acquire() {
-    if (next_tensor_ == tensors_.size()) {
-      tensors_.emplace_back();
-      if (arena_) tensors_.back().BindArena(arena_.get());
-    }
+    if (next_tensor_ == tensors_.size()) tensors_.emplace_back();
     return &tensors_[next_tensor_++];
   }
 
@@ -93,7 +75,6 @@ class Workspace {
 
  private:
   // Deques keep slot addresses stable while the pool grows.
-  std::unique_ptr<util::Arena> arena_;  // null until EnableArena
   std::deque<Tensor> tensors_;
   std::deque<SparseRows> sparse_;
   size_t next_tensor_ = 0;

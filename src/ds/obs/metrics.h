@@ -16,8 +16,10 @@
 #ifndef DS_OBS_METRICS_H_
 #define DS_OBS_METRICS_H_
 
+#include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <deque>
 #include <string>
@@ -37,6 +39,16 @@ class Counter {
  public:
   void Add(uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
   uint64_t value() const { return value_.load(std::memory_order_relaxed); }
+
+  /// Raises the value to `total` if it is below it (never lowers it). Used
+  /// to mirror a monotone total kept elsewhere; concurrent callers cannot
+  /// double-count the same delta.
+  void AdvanceTo(uint64_t total) {
+    uint64_t cur = value_.load(std::memory_order_relaxed);
+    while (cur < total && !value_.compare_exchange_weak(
+                              cur, total, std::memory_order_relaxed)) {
+    }
+  }
 
  private:
   std::atomic<uint64_t> value_{0};
@@ -86,11 +98,9 @@ struct HistogramSnapshot {
 class Histogram {
  public:
   void Record(uint64_t value) {
-    size_t b = 0;
-    while (b + 1 < HistogramSnapshot::kBuckets &&
-           value > HistogramSnapshot::UpperBound(b)) {
-      ++b;
-    }
+    // Bucket b ends at 2^b - 1, so a value's bucket is its bit width.
+    const size_t b = std::min<size_t>(std::bit_width(value),
+                                      HistogramSnapshot::kBuckets - 1);
     buckets_[b].fetch_add(1, std::memory_order_relaxed);
     count_.fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(value, std::memory_order_relaxed);

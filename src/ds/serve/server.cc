@@ -82,9 +82,8 @@ SketchServer::SketchServer(SketchRegistry* registry, ServerOptions options)
     Shard* shard = shards_[i % shards_.size()].get();
     const int cpu = options_.pin_workers ? worker_cpus[i] : -1;
     workers_.emplace_back([this, shard, cpu] {
-      // Pin before the first batch: the thread-local estimate scratch (and
-      // its arena pages) is first-touched during the first ServeBatch, and
-      // first-touch decides its NUMA placement. Pinning is best-effort.
+      // Pin before the first batch, which warms the thread-local estimate
+      // scratch. Pinning is best-effort.
       if (cpu >= 0) (void)util::PinCurrentThreadToCpu(cpu);
       WorkerLoop(shard);
     });
@@ -98,34 +97,35 @@ SketchServer::~SketchServer() { Stop(); }
 
 obs::RegistrySnapshot SketchServer::ObsSnapshot() const {
   ExportCacheStats(obs_registry_, registry_->stats());
-  // Mirror the NN kernel counters (process-wide) into gauges so an
-  // exposition snapshot shows how inference work is being executed.
-  const nn::KernelStats& k = nn::GlobalKernelStats();
-  auto set = [this](const char* name, const char* help, double v) {
-    obs_registry_->GetGauge(name, help)->Set(v);
+  obs_registry_
+      ->GetGauge("ds_nn_kernels_vectorized",
+                 "1 when the AVX2 intrinsic kernel path is compiled in")
+      ->Set(nn::KernelsVectorized() ? 1.0 : 0.0);
+  // Mirror process-wide monotone totals into counters, advanced by the
+  // delta since the last snapshot: the NN kernel counters show how
+  // inference work is being executed, and the contract counter
+  // (ds/util/contract.h) lets fleets alert on contract pressure under the
+  // count-and-continue policy.
+  auto mirror = [this](const char* name, const char* help, uint64_t total) {
+    obs_registry_->GetCounter(name, help)->AdvanceTo(total);
   };
-  set("ds_nn_kernels_vectorized",
-      "1 when the AVX2 intrinsic kernel path is compiled in",
-      nn::KernelsVectorized() ? 1.0 : 0.0);
-  set("ds_nn_kernel_dense_calls", "Dense matmul kernel invocations",
-      static_cast<double>(k.dense_calls.load(std::memory_order_relaxed)));
-  set("ds_nn_kernel_fused_calls", "Fused linear+bias(+ReLU) invocations",
-      static_cast<double>(k.fused_calls.load(std::memory_order_relaxed)));
-  set("ds_nn_kernel_sparse_calls", "Sparse linear kernel invocations",
-      static_cast<double>(k.sparse_calls.load(std::memory_order_relaxed)));
-  set("ds_nn_kernel_flops", "Multiply-accumulate flops issued by kernels",
-      static_cast<double>(k.flops.load(std::memory_order_relaxed)));
-  set("ds_nn_kernel_bytes", "Operand and result bytes touched by kernels",
-      static_cast<double>(k.bytes.load(std::memory_order_relaxed)));
-  // Mirror the process-wide contract counter (ds/util/contract.h) into the
-  // registry by adding the delta since the last snapshot, so fleets can
-  // alert on contract pressure under the count-and-continue policy.
-  obs::Counter* violations = obs_registry_->GetCounter(
-      "ds_contract_violations_total",
-      "DS_REQUIRE/DS_ENSURE/DS_INVARIANT violations since process start");
-  const uint64_t total = util::ContractViolationCount();
-  const uint64_t exported = violations->value();
-  if (total > exported) violations->Add(total - exported);
+  const nn::KernelStats& k = nn::GlobalKernelStats();
+  mirror("ds_nn_kernel_dense_calls_total", "Dense matmul kernel invocations",
+         k.dense_calls.load(std::memory_order_relaxed));
+  mirror("ds_nn_kernel_fused_calls_total",
+         "Fused linear+bias(+ReLU) invocations",
+         k.fused_calls.load(std::memory_order_relaxed));
+  mirror("ds_nn_kernel_sparse_calls_total", "Sparse linear kernel invocations",
+         k.sparse_calls.load(std::memory_order_relaxed));
+  mirror("ds_nn_kernel_flops_total",
+         "Multiply-accumulate flops issued by kernels",
+         k.flops.load(std::memory_order_relaxed));
+  mirror("ds_nn_kernel_bytes_total",
+         "Operand and result bytes touched by kernels",
+         k.bytes.load(std::memory_order_relaxed));
+  mirror("ds_contract_violations_total",
+         "DS_REQUIRE/DS_ENSURE/DS_INVARIANT violations since process start",
+         util::ContractViolationCount());
   return obs_registry_->Snapshot();
 }
 

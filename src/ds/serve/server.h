@@ -113,13 +113,10 @@ struct ServerOptions {
   bool enable_batching = true;
 
   /// Pin each worker thread to its own CPU (one per physical core first,
-  /// see util::PlanWorkerCpus) before it serves its first batch. Pinning
-  /// before the first estimate matters beyond cache warmth: the worker's
-  /// thread-local inference scratch (and its huge-page arena, see
-  /// ds/util/arena.h) is prefaulted on first use, so first-touch places
-  /// those pages on the pinned CPU's NUMA node and every later batch on
-  /// that worker reads node-local weights and activations. Best-effort: a
-  /// failed pin (shrunk cgroup mask, unsupported platform) is ignored.
+  /// see util::PlanWorkerCpus) before it serves its first batch, so the
+  /// worker's thread-local inference scratch stays in that core's caches.
+  /// Best-effort: a failed pin (shrunk cgroup mask, unsupported platform)
+  /// is ignored.
   bool pin_workers = false;
 
   /// Metric registry to register the ds_serve_* instruments in. Null (the

@@ -5,7 +5,6 @@
 
 #include "ds/obs/trace.h"
 #include "ds/storage/table_io.h"
-#include "ds/util/arena.h"
 #include "ds/util/contract.h"
 #include "ds/workload/generator.h"
 #include "ds/workload/labeler.h"
@@ -269,13 +268,6 @@ namespace {
 // across batches, so once a thread has served a batch at least as large as
 // the current one, estimation touches no allocator.
 struct EstimateScratch {
-  EstimateScratch() {
-    // Huge-page arena behind the activation tensors (DS_ARENA=0 opts out).
-    // Constructed lazily on the estimating thread itself, so when serving
-    // has pinned that thread the prefault lands the pages on its NUMA node.
-    if (util::ArenaEnabledByEnv()) ws.EnableArena();
-  }
-
   mscn::FeaturizeScratch featurize;
   std::vector<mscn::SparseQueryFeatures> features;  // one slot per query
   std::vector<const mscn::SparseQueryFeatures*> ptrs;

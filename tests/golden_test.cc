@@ -1,9 +1,9 @@
 // Golden estimates: two checked-in format-v2 sketches (tests/data, see the
 // README.md there) and the fp32 estimate recorded for each of their
 // generated SQL statements. Every public estimation path must reproduce the
-// recorded doubles exactly on the bit-stable kernel tiers (generic, avx2)
-// and to 1e-4 relative on the FMA tiers; a refactor of inference,
-// featurization or persistence that moves any estimate fails here.
+// recorded doubles exactly on every available kernel tier; a refactor of
+// inference, featurization or persistence that moves any estimate fails
+// here.
 
 #include <gtest/gtest.h>
 
@@ -62,19 +62,10 @@ DeepSketch LoadFixture(const std::string& name) {
   return std::move(loaded).value();
 }
 
-bool BitStable(nn::KernelTier tier) {
-  return tier == nn::KernelTier::kGeneric || tier == nn::KernelTier::kAvx2;
-}
-
 void ExpectGolden(double got, const Golden& g, nn::KernelTier tier,
                   const char* path) {
-  if (BitStable(tier)) {
-    EXPECT_EQ(got, g.estimate) << path << " " << nn::KernelTierName(tier)
-                               << ": " << g.sql;
-  } else {
-    EXPECT_NEAR(got, g.estimate, 1e-4 * g.estimate)
-        << path << " " << nn::KernelTierName(tier) << ": " << g.sql;
-  }
+  EXPECT_EQ(got, g.estimate) << path << " " << nn::KernelTierName(tier)
+                             << ": " << g.sql;
 }
 
 class GoldenTest : public ::testing::TestWithParam<const char*> {};

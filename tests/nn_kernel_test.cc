@@ -1,6 +1,6 @@
 // Tests for the zero-allocation kernel layer: bit-for-bit parity of the
 // Into/fused/sparse kernels with the tensor.h reference ops, runtime
-// kernel-tier dispatch, workspace reuse and its huge-page arena, sparse
+// kernel-tier dispatch, workspace reuse, sparse
 // featurization parity, inference parity with the training Forward,
 // batched-vs-single estimation, the steady-state zero-allocation guarantee,
 // and data-parallel training.
@@ -24,7 +24,6 @@
 #include "ds/sketch/deep_sketch.h"
 #include "ds/sql/binder.h"
 #include "ds/util/alloc.h"
-#include "ds/util/arena.h"
 #include "ds/util/contract.h"
 #include "ds/util/parallel.h"
 #include "ds/util/random.h"
@@ -150,61 +149,6 @@ TEST(DispatchTest, GenericTierAlwaysAvailable) {
   }
 }
 
-TEST(DispatchTest, SetTierRoundTripsThroughEveryAvailableTier) {
-  const nn::KernelTier entry = nn::ActiveKernelTier();
-  for (nn::KernelTier t : nn::AvailableKernelTiers()) {
-    ASSERT_TRUE(nn::SetKernelTier(t)) << nn::KernelTierName(t);
-    EXPECT_EQ(nn::ActiveKernelTier(), t);
-    EXPECT_EQ(nn::KernelsVectorized(), t != nn::KernelTier::kGeneric);
-  }
-  ASSERT_TRUE(nn::SetKernelTier(entry));
-}
-
-TEST(DispatchTest, EveryTierAgreesWithGenericOnTheFusedKernel) {
-  const nn::KernelTier entry = nn::ActiveKernelTier();
-  util::Pcg32 rng(31);
-  Tensor x = RandomTensor({7, 45}, &rng, 0.5);
-  Tensor w = RandomTensor({45, 18}, &rng);
-  Tensor b = RandomTensor({18}, &rng);
-  ASSERT_TRUE(nn::SetKernelTier(nn::KernelTier::kGeneric));
-  Tensor want;
-  nn::LinearBiasActInto(x, w, b, true, &want);
-  for (nn::KernelTier t : nn::AvailableKernelTiers()) {
-    if (t == nn::KernelTier::kGeneric) continue;
-    ASSERT_TRUE(nn::SetKernelTier(t));
-    Tensor got;
-    nn::LinearBiasActInto(x, w, b, true, &got);
-    ASSERT_TRUE(want.SameShape(got));
-    for (size_t i = 0; i < want.size(); ++i) {
-      if (t == nn::KernelTier::kAvx2) {
-        // Same mul+add order as generic: bit-identical, no tolerance.
-        ASSERT_EQ(want.at(i), got.at(i))
-            << nn::KernelTierName(t) << " flat index " << i;
-      } else {
-        // FMA-contracting tiers round once per multiply-add.
-        ASSERT_NEAR(want.at(i), got.at(i),
-                    1e-4 * std::max(1.0f, std::fabs(want.at(i))))
-            << nn::KernelTierName(t) << " flat index " << i;
-      }
-    }
-  }
-  ASSERT_TRUE(nn::SetKernelTier(entry));
-}
-
-TEST(DispatchTest, UnavailableTierIsRejected) {
-  const auto tiers = nn::AvailableKernelTiers();
-  const nn::KernelTier entry = nn::ActiveKernelTier();
-  for (int t = 0; t <= static_cast<int>(nn::KernelTier::kAvx512); ++t) {
-    const nn::KernelTier tier = static_cast<nn::KernelTier>(t);
-    const bool available =
-        std::find(tiers.begin(), tiers.end(), tier) != tiers.end();
-    EXPECT_EQ(nn::SetKernelTier(tier), available) << nn::KernelTierName(tier);
-  }
-  ASSERT_TRUE(nn::SetKernelTier(entry));
-}
-
-// ---- Sparse kernels --------------------------------------------------------
-
 SparseRows MakeSparse(const Tensor& dense) {
   SparseRows s;
   s.Clear(dense.dim(1));
@@ -217,6 +161,61 @@ SparseRows MakeSparse(const Tensor& dense) {
   }
   return s;
 }
+
+TEST(DispatchTest, SetTierRoundTripsThroughEveryAvailableTier) {
+  const nn::KernelTier entry = nn::ActiveKernelTier();
+  for (nn::KernelTier t : nn::AvailableKernelTiers()) {
+    ASSERT_TRUE(nn::SetKernelTier(t)) << nn::KernelTierName(t);
+    EXPECT_EQ(nn::ActiveKernelTier(), t);
+    EXPECT_EQ(nn::KernelsVectorized(), t != nn::KernelTier::kGeneric);
+  }
+  ASSERT_TRUE(nn::SetKernelTier(entry));
+}
+
+TEST(DispatchTest, EveryTierAgreesWithGenericOnTheFusedKernel) {
+  // Every tier uses generic's mul+add order, so the fused dense and sparse
+  // kernels are bit-identical across tiers. Widths 18 and 37 exercise the
+  // 16-wide, 8-wide and scalar tails of the vector loops.
+  const nn::KernelTier entry = nn::ActiveKernelTier();
+  util::Pcg32 rng(31);
+  for (size_t m : {18u, 37u}) {
+    Tensor x = RandomTensor({7, 45}, &rng, 0.5);
+    Tensor w = RandomTensor({45, m}, &rng);
+    Tensor b = RandomTensor({m}, &rng);
+    const SparseRows xs = MakeSparse(x);
+    for (bool relu : {false, true}) {
+      ASSERT_TRUE(nn::SetKernelTier(nn::KernelTier::kGeneric));
+      Tensor want, want_sparse;
+      nn::LinearBiasActInto(x, w, b, relu, &want);
+      nn::SparseLinearBiasActInto(xs, w, b, relu, &want_sparse);
+      for (nn::KernelTier t : nn::AvailableKernelTiers()) {
+        if (t == nn::KernelTier::kGeneric) continue;
+        SCOPED_TRACE(nn::KernelTierName(t));
+        ASSERT_TRUE(nn::SetKernelTier(t));
+        Tensor got, got_sparse;
+        nn::LinearBiasActInto(x, w, b, relu, &got);
+        nn::SparseLinearBiasActInto(xs, w, b, relu, &got_sparse);
+        ExpectBitIdentical(want, got);
+        ExpectBitIdentical(want_sparse, got_sparse);
+      }
+    }
+  }
+  ASSERT_TRUE(nn::SetKernelTier(entry));
+}
+
+TEST(DispatchTest, UnavailableTierIsRejected) {
+  const auto tiers = nn::AvailableKernelTiers();
+  const nn::KernelTier entry = nn::ActiveKernelTier();
+  for (int t = 0; t <= static_cast<int>(nn::KernelTier::kAvx2); ++t) {
+    const nn::KernelTier tier = static_cast<nn::KernelTier>(t);
+    const bool available =
+        std::find(tiers.begin(), tiers.end(), tier) != tiers.end();
+    EXPECT_EQ(nn::SetKernelTier(tier), available) << nn::KernelTierName(tier);
+  }
+  ASSERT_TRUE(nn::SetKernelTier(entry));
+}
+
+// ---- Sparse kernels --------------------------------------------------------
 
 TEST(KernelTest, SparseRowsToDenseRoundTrips) {
   util::Pcg32 rng(11);
@@ -294,79 +293,6 @@ TEST(WorkspaceTest, SlotsAreStableAndCapacityStabilizes) {
   EXPECT_FALSE(a2->ResizeInPlace({8, 16}));  // no growth needed
   EXPECT_FALSE(b2->ResizeInPlace({2, 8}));   // shrink reuses capacity
   EXPECT_EQ(ws.capacity_bytes(), cap);
-}
-
-// ---- Arena -----------------------------------------------------------------
-
-TEST(ArenaTest, AllocationsComeFromArenaAndAreAligned) {
-  util::Arena arena;
-  void* a = arena.Allocate(100);
-  void* b = arena.Allocate(1000, 64);
-  EXPECT_TRUE(arena.Contains(a));
-  EXPECT_TRUE(arena.Contains(b));
-  EXPECT_NE(a, b);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(a) % 64, 0u);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(b) % 64, 0u);
-  EXPECT_GE(arena.stats().reserved_bytes, arena.stats().allocated_bytes);
-}
-
-TEST(ArenaTest, HeapFallbackStillServesAllocations) {
-  // force_heap simulates an environment where mmap is unavailable: the
-  // arena must degrade to operator new chunks, not fail.
-  util::ArenaOptions options;
-  options.force_heap = true;
-  util::Arena arena(options);
-  void* p = arena.Allocate(4096);
-  ASSERT_NE(p, nullptr);
-  EXPECT_TRUE(arena.Contains(p));
-  // Touch the memory: a bogus pointer would crash here.
-  std::memset(p, 0xab, 4096);
-  EXPECT_EQ(arena.stats().mmap_chunks, 0u);
-  EXPECT_EQ(arena.stats().huge_page_chunks, 0u);
-  EXPECT_GE(arena.stats().chunks, 1u);
-}
-
-TEST(ArenaTest, OversizedAllocationGetsDedicatedChunk) {
-  util::ArenaOptions options;
-  options.chunk_bytes = 1u << 16;
-  util::Arena arena(options);
-  void* big = arena.Allocate(options.chunk_bytes * 4);
-  EXPECT_TRUE(arena.Contains(big));
-  std::memset(big, 0, options.chunk_bytes * 4);
-}
-
-TEST(ArenaTest, WorkspaceEnableArenaBindsExistingAndFutureSlots) {
-  nn::Workspace ws;
-  Tensor* before = ws.Acquire();
-  before->ResizeInPlace({4, 4});
-  ws.Reset();
-  util::ArenaOptions options;
-  options.force_heap = true;  // deterministic on any kernel
-  ws.EnableArena(options);
-  ASSERT_NE(ws.arena(), nullptr);
-  // Existing slot: rebinding takes effect on its next growth.
-  Tensor* again = ws.Acquire();
-  EXPECT_EQ(again, before);
-  again->ResizeInPlace({64, 64});
-  EXPECT_TRUE(ws.arena()->Contains(again->data()));
-  // New slot acquired after enabling is arena-backed from the start.
-  Tensor* fresh = ws.Acquire();
-  fresh->ResizeInPlace({32, 32});
-  EXPECT_TRUE(ws.arena()->Contains(fresh->data()));
-  // EnableArena is idempotent: same arena object, no rebind churn.
-  const util::Arena* arena = ws.arena();
-  ws.EnableArena(options);
-  EXPECT_EQ(ws.arena(), arena);
-}
-
-TEST(ArenaTest, EnvOptOutIsReadOnce) {
-  // ArenaEnabledByEnv just reflects DS_ARENA; the test only pins the
-  // default (enabled when unset). The value is cached process-wide, so
-  // flipping the env var here must not change it.
-  const bool first = util::ArenaEnabledByEnv();
-  setenv("DS_ARENA", first ? "0" : "1", 1);
-  EXPECT_EQ(util::ArenaEnabledByEnv(), first);
-  unsetenv("DS_ARENA");
 }
 
 // ---- Layer/model inference parity ------------------------------------------

@@ -64,6 +64,25 @@ TEST(HistogramSnapshotTest, BucketBoundaries) {
   // highest to the observed max (not the bucket edge above it).
   EXPECT_EQ(s.ApproxPercentile(0.0), 0u);
   EXPECT_EQ(s.ApproxPercentile(1.0), 16u);
+
+  // Every edge: 2^b - 1 is the last value of bucket b and 2^b the first of
+  // bucket b + 1; the last bucket absorbs everything larger.
+  const size_t last = HistogramSnapshot::kBuckets - 1;
+  auto bucket_of = [](uint64_t v) {
+    Histogram one;
+    one.Record(v);
+    const HistogramSnapshot snap = one.Snapshot();
+    for (size_t i = 0; i < HistogramSnapshot::kBuckets; ++i) {
+      if (snap.buckets[i] == 1) return i;
+    }
+    return HistogramSnapshot::kBuckets;
+  };
+  for (size_t b = 0; b < 64; ++b) {
+    const uint64_t edge = uint64_t{1} << b;
+    EXPECT_EQ(bucket_of(edge - 1), std::min(b, last)) << "2^" << b << "-1";
+    EXPECT_EQ(bucket_of(edge), std::min(b + 1, last)) << "2^" << b;
+  }
+  EXPECT_EQ(bucket_of(UINT64_MAX), last);
 }
 
 TEST(HistogramSnapshotTest, PercentileCappedAtObservedMax) {

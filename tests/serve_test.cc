@@ -479,6 +479,36 @@ TEST_F(ServeTest, ObsSnapshotAndExposition) {
   EXPECT_NE(json.find("ds_serve_completed_total"), std::string::npos);
 }
 
+TEST_F(ServeTest, KernelTotalsAreExportedAsMonotoneCounters) {
+  const char* names[] = {
+      "ds_nn_kernel_dense_calls_total", "ds_nn_kernel_fused_calls_total",
+      "ds_nn_kernel_sparse_calls_total", "ds_nn_kernel_flops_total",
+      "ds_nn_kernel_bytes_total",
+  };
+  SketchRegistry registry(DiskOptions());
+  SketchServer server(&registry);
+  const obs::RegistrySnapshot before = server.ObsSnapshot();
+  ASSERT_TRUE(server.Submit("a", kQueries[0]).future.get().ok());
+  const obs::RegistrySnapshot after = server.ObsSnapshot();
+  server.Stop();
+
+  const std::string prom = obs::ToPrometheusText(after);
+  for (const char* name : names) {
+    SCOPED_TRACE(name);
+    const obs::MetricSnapshot* b = before.Find(name);
+    const obs::MetricSnapshot* a = after.Find(name);
+    ASSERT_NE(b, nullptr);
+    ASSERT_NE(a, nullptr);
+    EXPECT_EQ(a->kind, obs::MetricKind::kCounter);
+    EXPECT_GE(a->value, b->value);
+    EXPECT_NE(prom.find("# TYPE " + std::string(name) + " counter\n"),
+              std::string::npos);
+  }
+  // The estimate ran the sparse first layers, so that total moved.
+  EXPECT_GT(after.Find("ds_nn_kernel_sparse_calls_total")->value,
+            before.Find("ds_nn_kernel_sparse_calls_total")->value);
+}
+
 TEST_F(ServeTest, PrivateRegistriesKeepServersApart) {
   SketchRegistry registry(DiskOptions());
   SketchServer one(&registry);

@@ -5,11 +5,13 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <iterator>
 
 #include "ds/est/truth.h"
 #include "ds/sketch/deep_sketch.h"
 #include "ds/sketch/manager.h"
 #include "ds/sketch/template.h"
+#include "ds/util/alloc.h"
 #include "ds/util/stats.h"
 #include "test_util.h"
 
@@ -213,6 +215,35 @@ TEST_F(SketchTest, EstimateManyBadSpecFailsOnlyItsSlot) {
 
 TEST_F(SketchTest, EstimateManyEmptyInput) {
   EXPECT_TRUE(sketch_->EstimateMany({}).empty());
+}
+
+TEST_F(SketchTest, WarmEstimateManyIntoAllocatesNothing) {
+  if (!util::AllocCountingAvailable()) {
+    GTEST_SKIP() << "allocation counting disabled under sanitizers";
+  }
+  const char* sqls[] = {
+      "SELECT COUNT(*) FROM movie WHERE year = 2003",
+      "SELECT COUNT(*) FROM movie m, rating r WHERE r.movie_id = m.id "
+      "AND r.score > 1.5",
+      "SELECT COUNT(*) FROM genre WHERE name = 'g1'",
+      "SELECT COUNT(*) FROM movie m, rating r, genre g "
+      "WHERE r.movie_id = m.id AND m.genre_id = g.id AND g.name = 'g2'",
+  };
+  for (size_t batch : {1u, 16u}) {
+    SCOPED_TRACE(batch);
+    std::vector<workload::QuerySpec> specs;
+    for (size_t i = 0; i < batch; ++i) {
+      specs.push_back(
+          sql::ParseAndBind(*catalog_, sqls[i % std::size(sqls)]).value());
+    }
+    std::vector<Result<double>> out;
+    sketch_->EstimateManyInto(specs, &out);  // warm-up: scratch may grow
+    const uint64_t before = util::AllocCount();
+    sketch_->EstimateManyInto(specs, &out);
+    EXPECT_EQ(util::AllocCount(), before);
+    ASSERT_EQ(out.size(), batch);
+    for (const Result<double>& r : out) EXPECT_TRUE(r.ok());
+  }
 }
 
 // ---- Templates --------------------------------------------------------------

@@ -592,7 +592,7 @@ const SelfCase kSelfCases[] = {
      "float f(__m256 a) { return _mm256_cvtss_f32(a); }\n",
      nullptr},
     {"intrinsic-in-comment-allowed", "clean.cc",
-     "// _mm256_fmadd_ps lives in nn/kernels_avx2_fma.cc\n", nullptr},
+     "// _mm256_add_ps lives in nn/kernels_avx2.cc\n", nullptr},
     {"stress-oracle-missing-seed", "src/ds/stress/fake.cc",
      "void f(ds::stress::OracleLedger* l) {\n"
      "  DS_STRESS_ORACLE(l, \"ledger\", 1 + 1 == 2, \"books unbalanced\");\n"

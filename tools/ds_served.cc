@@ -16,8 +16,8 @@
 //   workers      SketchServer batching workers (default 2)
 //   net_workers  event-loop threads, 0 = one per physical core
 //   rate/burst   per-tenant token-bucket admission (0 = admit everything)
-//   pin_workers  pin the batching workers one-per-core so their NUMA-aware
-//                inference arenas first-touch node-local pages (default 0)
+//   pin_workers  pin the batching workers one per core, so each worker's
+//                inference scratch stays in its core's caches (default 0)
 //   seconds      exit after S seconds instead of waiting for a signal
 //   trace        sample 1 in N requests for tracing (default 64, 0 = off;
 //                wire-propagated trace contexts always record)
