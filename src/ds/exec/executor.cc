@@ -25,6 +25,91 @@ inline bool JoinKey(const storage::Column& col, uint32_t row, int64_t* key) {
   return true;
 }
 
+// Filters `table` through the column-at-a-time bitmap kernel and compacts
+// the qualifying row ids into `rows` (ascending); `bitmap` is reused
+// working space.
+void QualifyingRows(const storage::Table& table,
+                    const std::vector<BoundPredicate>& preds,
+                    std::vector<uint8_t>* bitmap,
+                    std::vector<uint32_t>* rows) {
+  QualifyingBitmapInto(table, preds, bitmap);
+  const size_t n = bitmap->size();
+  rows->resize(n);
+  uint32_t* out = rows->data();
+  size_t kept = 0;
+  for (size_t r = 0; r < n; ++r) {
+    out[kept] = static_cast<uint32_t>(r);
+    kept += (*bitmap)[r];
+  }
+  rows->resize(kept);
+}
+
+// Hash index over one join step's build rows: an open-addressing table of
+// (key, chain head, chain length) slots plus a single `next` link per build
+// row, so building costs three flat arrays instead of one heap vector per
+// distinct key. Chains list build rows in ascending row order.
+class JoinIndex {
+ public:
+  static constexpr uint32_t kEnd = UINT32_MAX;
+
+  // Indexes `rows` (which must outlive the index) by their key in `col`;
+  // rows with a NULL key can never join and are left out.
+  JoinIndex(const storage::Column& col, const std::vector<uint32_t>& rows)
+      : rows_(rows) {
+    size_t capacity = 16;
+    while (capacity < 2 * rows.size()) capacity *= 2;
+    mask_ = capacity - 1;
+    shift_ = 64;
+    for (size_t c = capacity; c > 1; c >>= 1) --shift_;
+    slots_.assign(capacity, Slot{0, kEnd, 0});
+    next_.resize(rows.size());
+    // Walk backwards so that prepending leaves each chain ascending.
+    for (size_t i = rows.size(); i-- > 0;) {
+      int64_t key;
+      if (!JoinKey(col, rows[i], &key)) continue;
+      Slot& s = slots_[Probe(key)];
+      s.key = key;
+      next_[i] = s.head;
+      s.head = static_cast<uint32_t>(i);
+      ++s.size;
+    }
+  }
+
+  // First build position with `key` (kEnd if none); its chain length goes
+  // to `*size`.
+  uint32_t Find(int64_t key, uint32_t* size) const {
+    const Slot& s = slots_[Probe(key)];
+    *size = s.size;
+    return s.head;
+  }
+
+  uint32_t next(uint32_t pos) const { return next_[pos]; }
+  uint32_t row(uint32_t pos) const { return rows_[pos]; }
+
+ private:
+  struct Slot {
+    int64_t key;
+    uint32_t head;  // first build position with this key; kEnd = empty slot
+    uint32_t size;  // chain length
+  };
+
+  // Linear probe from the key's Fibonacci hash to its slot or an empty one.
+  size_t Probe(int64_t key) const {
+    size_t i = static_cast<size_t>(
+        (static_cast<uint64_t>(key) * 0x9E3779B97F4A7C15ull) >> shift_);
+    while (slots_[i].head != kEnd && slots_[i].key != key) {
+      i = (i + 1) & mask_;
+    }
+    return i;
+  }
+
+  const std::vector<uint32_t>& rows_;
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> next_;  // next build position with the same key
+  size_t mask_ = 0;
+  int shift_ = 0;
+};
+
 }  // namespace
 
 Result<uint64_t> Executor::Count(const workload::QuerySpec& spec) const {
@@ -32,12 +117,14 @@ Result<uint64_t> Executor::Count(const workload::QuerySpec& spec) const {
 
   // 1. Scan + filter every base table.
   std::unordered_map<std::string, TableState> states;
+  std::vector<BoundPredicate> bound;
+  std::vector<uint8_t> bitmap;
   for (const auto& name : spec.tables) {
     TableState st;
     DS_ASSIGN_OR_RETURN(st.table, catalog_->GetTable(name));
-    DS_ASSIGN_OR_RETURN(auto bound,
-                        BindPredicates(*st.table, name, spec.predicates));
-    st.rows = FilterRows(*st.table, bound);
+    DS_RETURN_NOT_OK(
+        BindPredicatesInto(*st.table, name, spec.predicates, &bound));
+    QualifyingRows(*st.table, bound, &bitmap, &st.rows);
     states.emplace(name, std::move(st));
   }
 
@@ -87,16 +174,15 @@ Result<uint64_t> Executor::Count(const workload::QuerySpec& spec) const {
     }
   }
 
-  // 3. Left-deep hash joins over materialized row-id tuples.
+  // 3. Left-deep hash joins. Every step but the last materializes row-id
+  // tuples; the last only counts its matches.
   const size_t width_final = order.size();
-  std::vector<uint32_t> tuples;  // stride grows as tables join
-  tuples.reserve(states[order[0]].rows.size());
-  for (uint32_t r : states[order[0]].rows) tuples.push_back(r);
-  size_t stride = 1;
+  std::vector<uint32_t> tuples = std::move(states[order[0]].rows);
+  size_t stride = 1;  // grows as tables join
 
   std::vector<bool> edge_used(spec.joins.size(), false);
 
-  for (size_t step = 1; step < width_final; ++step) {
+  for (size_t step = 1;; ++step) {  // width_final >= 2; the last step returns
     const std::string& next = order[step];
     const TableState& next_state = states[next];
 
@@ -138,13 +224,8 @@ Result<uint64_t> Executor::Count(const workload::QuerySpec& spec) const {
                         states[outer_table].table->GetColumn(outer_col_name));
     const size_t outer_slot = position[outer_table];
 
-    // Build hash table over the new table's qualifying rows.
-    std::unordered_map<int64_t, std::vector<uint32_t>> build;
-    build.reserve(next_state.rows.size());
-    for (uint32_t r : next_state.rows) {
-      int64_t key;
-      if (JoinKey(*inner_col, r, &key)) build[key].push_back(r);
-    }
+    // Build the hash index over the new table's qualifying rows.
+    const JoinIndex index(*inner_col, next_state.rows);
 
     // Resolve residual edge endpoints once.
     struct Residual {
@@ -166,41 +247,53 @@ Result<uint64_t> Executor::Count(const workload::QuerySpec& spec) const {
       rb.other_slot = position[o_table];
       res_bound.push_back(rb);
     }
+    auto residuals_pass = [&](const uint32_t* tuple, uint32_t r) {
+      for (const auto& rb : res_bound) {
+        int64_t a, b;
+        if (!JoinKey(*rb.next_col, r, &a) ||
+            !JoinKey(*rb.other_col, tuple[rb.other_slot], &b) || a != b) {
+          return false;
+        }
+      }
+      return true;
+    };
 
-    // Probe.
+    // Probe. The guard caps the tuples this step produces, whether they are
+    // materialized or only counted.
+    const bool last = step + 1 == width_final;
+    const uint64_t limit = options_.max_intermediate_tuples;
+    uint64_t produced = 0;
     std::vector<uint32_t> out;
     const size_t num_tuples = tuples.size() / stride;
     for (size_t t = 0; t < num_tuples; ++t) {
       const uint32_t* tuple = tuples.data() + t * stride;
       int64_t key;
       if (!JoinKey(*outer_col, tuple[outer_slot], &key)) continue;
-      auto it = build.find(key);
-      if (it == build.end()) continue;
-      for (uint32_t r : it->second) {
-        bool pass = true;
-        for (const auto& rb : res_bound) {
-          int64_t a, b;
-          if (!JoinKey(*rb.next_col, r, &a) ||
-              !JoinKey(*rb.other_col, tuple[rb.other_slot], &b) || a != b) {
-            pass = false;
-            break;
+      uint32_t chain_size = 0;
+      const uint32_t head = index.Find(key, &chain_size);
+      if (last && res_bound.empty()) {
+        produced += chain_size;
+      } else {
+        for (uint32_t pos = head; pos != JoinIndex::kEnd;
+             pos = index.next(pos)) {
+          const uint32_t r = index.row(pos);
+          if (!residuals_pass(tuple, r)) continue;
+          ++produced;
+          if (!last) {
+            out.insert(out.end(), tuple, tuple + stride);
+            out.push_back(r);
           }
         }
-        if (!pass) continue;
-        out.insert(out.end(), tuple, tuple + stride);
-        out.push_back(r);
-        if (out.size() / (stride + 1) > options_.max_intermediate_tuples) {
-          return Status::OutOfRange(
-              "intermediate result exceeds max_intermediate_tuples");
-        }
+      }
+      if (produced > limit) {
+        return Status::OutOfRange(
+            "intermediate result exceeds max_intermediate_tuples");
       }
     }
+    if (last || produced == 0) return produced;
     tuples = std::move(out);
     stride += 1;
-    if (tuples.empty()) return 0;
   }
-
-  return static_cast<uint64_t>(tuples.size() / stride);
 }
 
 }  // namespace ds::exec

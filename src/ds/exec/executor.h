@@ -2,9 +2,10 @@
 //
 // This is the ground-truth oracle the paper obtains from HyPer (step 3 of
 // Figure 1a): training labels, validation labels, and the "true cardinality"
-// overlay all come from here. The engine is a straightforward columnar
-// select + left-deep hash-join pipeline — it only needs to be correct and
-// reasonably fast on the demo-scale datasets.
+// overlay all come from here. The engine is a columnar select (the
+// QualifyingBitmapInto kernel) + left-deep hash-join pipeline whose last
+// join step counts its matches instead of materializing them — it only
+// needs to be correct and reasonably fast on the demo-scale datasets.
 
 #ifndef DS_EXEC_EXECUTOR_H_
 #define DS_EXEC_EXECUTOR_H_
@@ -17,8 +18,9 @@
 namespace ds::exec {
 
 struct ExecutorOptions {
-  /// Abort with OutOfRange once an intermediate result exceeds this many
-  /// tuples; guards against runaway joins on user-authored queries.
+  /// Abort with OutOfRange once a join step's result (intermediate, or the
+  /// final count) exceeds this many tuples; guards against runaway joins on
+  /// user-authored queries.
   uint64_t max_intermediate_tuples = 200'000'000;
 };
 

@@ -37,36 +37,9 @@ Status BindPredicatesInto(const storage::Table& table,
                           const std::vector<workload::ColumnPredicate>& predicates,
                           std::vector<BoundPredicate>* bound);
 
-/// True if row `row` satisfies `pred`. NULL never qualifies.
-inline bool RowMatches(const BoundPredicate& pred, size_t row) {
-  if (pred.never_matches || pred.column->IsNull(row)) return false;
-  double v = pred.column->GetNumeric(row);
-  switch (pred.op) {
-    case workload::CompareOp::kEq:
-      return v == pred.value;
-    case workload::CompareOp::kLt:
-      return v < pred.value;
-    case workload::CompareOp::kGt:
-      return v > pred.value;
-  }
-  return false;
-}
-
-/// True if row `row` satisfies all of `preds`.
-inline bool RowMatchesAll(const std::vector<BoundPredicate>& preds,
-                          size_t row) {
-  for (const auto& p : preds) {
-    if (!RowMatches(p, row)) return false;
-  }
-  return true;
-}
-
-/// Indices of all qualifying rows.
-std::vector<uint32_t> FilterRows(const storage::Table& table,
-                                 const std::vector<BoundPredicate>& preds);
-
 /// Per-row qualification bytes (1/0), one per table row — the "bitmap"
-/// the paper extracts from materialized samples.
+/// the paper extracts from materialized samples, and the executor's
+/// base-table filter.
 std::vector<uint8_t> QualifyingBitmap(const storage::Table& table,
                                       const std::vector<BoundPredicate>& preds);
 

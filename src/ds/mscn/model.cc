@@ -135,9 +135,11 @@ void MscnModel::Backward(const nn::Tensor& dy) {
     std::copy(row + 2 * h, row + 3 * h, dp.data() + i * h);
   }
 
-  table_mlp_.Backward(table_pool_.Backward(dt));
-  join_mlp_.Backward(join_pool_.Backward(dj));
-  pred_mlp_.Backward(pred_pool_.Backward(dp));
+  // The set MLPs' inputs are featurized data, so their input gradients
+  // would be discarded; out_mlp_ above needs its own (dconcat).
+  table_mlp_.BackwardParams(table_pool_.Backward(dt));
+  join_mlp_.BackwardParams(join_pool_.Backward(dj));
+  pred_mlp_.BackwardParams(pred_pool_.Backward(dp));
 }
 
 std::vector<nn::Parameter*> MscnModel::Parameters() {

@@ -37,13 +37,18 @@ void Linear::InferSparseInto(const SparseRows& x, bool fuse_relu,
 }
 
 Tensor Linear::Backward(const Tensor& dy) {
-  DS_CHECK(!cached_x_.empty());
-  // dW += x^T dy ; db += column sums of dy ; dx = dy W^T.
-  MatMulTransposedAAccumulate(cached_x_, dy, &weight_.grad);
-  SumRowsInto(dy, &bias_.grad);
+  BackwardParams(dy);
+  // dx = dy W^T.
   Tensor dx;
   MatMulTransposedBInto(dy, weight_.value, &dx);
   return dx;
+}
+
+void Linear::BackwardParams(const Tensor& dy) {
+  DS_CHECK(!cached_x_.empty());
+  // dW += x^T dy ; db += column sums of dy.
+  MatMulTransposedAAccumulate(cached_x_, dy, &weight_.grad);
+  SumRowsInto(dy, &bias_.grad);
 }
 
 // ---- Activations ------------------------------------------------------------------
@@ -133,11 +138,20 @@ Tensor* Mlp::InferDenseFrom(size_t first, Tensor* h, Workspace* ws) const {
 }
 
 Tensor Mlp::Backward(const Tensor& dy) {
+  return layers_[0].Backward(BackwardToFirstLayer(dy));
+}
+
+void Mlp::BackwardParams(const Tensor& dy) {
+  layers_[0].BackwardParams(BackwardToFirstLayer(dy));
+}
+
+Tensor Mlp::BackwardToFirstLayer(const Tensor& dy) {
   Tensor d = dy;
-  for (size_t i = layers_.size(); i-- > 0;) {
+  for (size_t i = layers_.size(); i-- > 1;) {
     if (i < relus_.size()) d = relus_[i].Backward(d);
     d = layers_[i].Backward(d);
   }
+  if (!relus_.empty()) d = relus_[0].Backward(d);
   return d;
 }
 

@@ -49,6 +49,8 @@ class Linear {
   Tensor Forward(const Tensor& x);
   /// Returns dL/dx; accumulates dL/dW and dL/db. Must follow a Forward.
   Tensor Backward(const Tensor& dy);
+  /// Backward without dL/dx: accumulates dL/dW and dL/db only.
+  void BackwardParams(const Tensor& dy);
 
   /// Fused allocation-free inference: *y = x W + b, then ReLU when
   /// `fuse_relu`. `y` is resized in place (zero-allocation once warm) and
@@ -106,6 +108,11 @@ class Mlp {
   void Initialize(util::Pcg32* rng);
   Tensor Forward(const Tensor& x);
   Tensor Backward(const Tensor& dy);
+  /// Backward for an MLP whose input needs no gradient (the MSCN set MLPs
+  /// fed featurized rows): accumulates the same parameter gradients, bit
+  /// for bit, but skips layer 0's dL/dx = dy W^T, a product as large as
+  /// that layer's forward.
+  void BackwardParams(const Tensor& dy);
 
   /// Workspace-backed inference through the fused kernels, with the first
   /// layer fed from CSR rows (the MSCN's sparse featurized inputs): returns
@@ -127,6 +134,10 @@ class Mlp {
   size_t out_features() const { return layers_.back().out_features(); }
 
  private:
+  /// Backward through every layer above layer 0 and through layer 0's
+  /// ReLU; returns the gradient at layer 0's output.
+  Tensor BackwardToFirstLayer(const Tensor& dy);
+
   std::vector<Linear> layers_;
   std::vector<ReLU> relus_;  // relus_[i] follows layers_[i] where applicable
   bool final_activation_;

@@ -108,6 +108,32 @@ TEST_F(ExecTest, IntermediateGuardTrips) {
                                 "WHERE r.movie_id = m.id");
   ASSERT_TRUE(spec.ok());
   EXPECT_EQ(small.Count(*spec).status().code(), StatusCode::kOutOfRange);
+
+  // A star around genre (5 rows, so the join starts there): genre joins its
+  // 8 movies each (40 tuples) and the ratings whose movie_id equals the
+  // genre id (1, 2, 0, 1, 2 for genres 1..5; 6 tuples), so the final step
+  // yields 8 * 6 = 48 tuples whichever of the two is joined first.
+  auto star = sql::ParseAndBind(*catalog_,
+                                "SELECT COUNT(*) FROM genre g, movie m, "
+                                "rating r WHERE m.genre_id = g.id "
+                                "AND r.movie_id = g.id");
+  ASSERT_TRUE(star.ok()) << star.status().ToString();
+  ASSERT_EQ(testutil::BruteForceCount(*catalog_, *star), 48u);
+  ASSERT_EQ(executor_.Count(*star).value(), 48u);
+
+  // 40 admits either intermediate result, so only the final, counted step
+  // can trip.
+  opts.max_intermediate_tuples = 40;
+  EXPECT_EQ(Executor(catalog_.get(), opts).Count(*star).status().code(),
+            StatusCode::kOutOfRange);
+  // The guard trips on more than the cap, so a count equal to it passes.
+  opts.max_intermediate_tuples = 48;
+  auto at_cap = Executor(catalog_.get(), opts).Count(*star);
+  ASSERT_TRUE(at_cap.ok()) << at_cap.status().ToString();
+  EXPECT_EQ(*at_cap, 48u);
+  opts.max_intermediate_tuples = 47;
+  EXPECT_EQ(Executor(catalog_.get(), opts).Count(*star).status().code(),
+            StatusCode::kOutOfRange);
 }
 
 // ---- Property sweep: random queries vs brute force -------------------------
@@ -123,8 +149,10 @@ class ExecPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 QuerySpec RandomSpec(const storage::Catalog& /*catalog*/, util::Pcg32* rng) {
   QuerySpec spec;
   // Table subsets that are connected: {movie}, {genre}, {rating},
-  // {movie,genre}, {movie,rating}, {movie,genre,rating}.
-  switch (rng->Bounded(6)) {
+  // {movie,genre}, {movie,rating}, {movie,genre,rating}; plus two join graphs
+  // that are not trees, so the last join step carries a residual edge: a
+  // duplicated edge and a triangle closed by rating.id = genre.id.
+  switch (rng->Bounded(8)) {
     case 0:
       spec.tables = {"movie"};
       break;
@@ -142,10 +170,21 @@ QuerySpec RandomSpec(const storage::Catalog& /*catalog*/, util::Pcg32* rng) {
       spec.tables = {"movie", "rating"};
       spec.joins = {JoinEdge{"rating", "movie_id", "movie", "id"}};
       break;
-    default:
+    case 5:
       spec.tables = {"movie", "genre", "rating"};
       spec.joins = {JoinEdge{"movie", "genre_id", "genre", "id"},
                     JoinEdge{"rating", "movie_id", "movie", "id"}};
+      break;
+    case 6:
+      spec.tables = {"movie", "genre"};
+      spec.joins = {JoinEdge{"movie", "genre_id", "genre", "id"},
+                    JoinEdge{"movie", "genre_id", "genre", "id"}};
+      break;
+    default:
+      spec.tables = {"movie", "genre", "rating"};
+      spec.joins = {JoinEdge{"movie", "genre_id", "genre", "id"},
+                    JoinEdge{"rating", "movie_id", "movie", "id"},
+                    JoinEdge{"rating", "id", "genre", "id"}};
   }
   auto add_pred = [&](const std::string& table, const std::string& column,
                       storage::CellValue literal) {

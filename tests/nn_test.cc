@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "ds/nn/gradcheck.h"
 #include "ds/nn/layers.h"
@@ -130,6 +131,50 @@ TEST(MlpTest, GradientCheckThroughTwoLayers) {
   for (Parameter* p : mlp.Parameters()) {
     auto r = CheckParameterGradient(p, loss);
     EXPECT_LT(r.max_rel_error, 5e-2) << p->name;
+  }
+}
+
+TEST(MlpTest, BackwardParamsMatchesBackwardBitForBit) {
+  // {in, hidden..., out} x final activation; the first is the MSCN table
+  // MLP's shape (a 1003-wide one-hot + sample bitmap input).
+  const struct {
+    std::vector<size_t> sizes;
+    bool final_activation;
+  } shapes[] = {{{1003, 64, 64}, true}, {{7, 5}, true},   {{7, 5}, false},
+                {{9, 16, 3}, false},    {{12, 8, 8, 4}, true}};
+  util::Pcg32 rng(41);
+  for (const auto& shape : shapes) {
+    Mlp full("m", shape.sizes, shape.final_activation);
+    Mlp params_only("m", shape.sizes, shape.final_activation);
+    util::Pcg32 init_a = rng.Fork(), init_b = init_a;
+    full.Initialize(&init_a);
+    params_only.Initialize(&init_b);
+    // Two steps, so accumulation into non-zero gradients is covered too.
+    for (int step = 0; step < 2; ++step) {
+      const size_t rows = 1 + rng.Bounded(24);
+      Tensor x({rows, shape.sizes.front()});
+      for (float& v : x.vec()) {
+        // Mostly zeros with a few ones and reals, like featurized rows.
+        v = rng.Chance(0.9) ? 0.0f
+            : rng.Chance(0.5) ? 1.0f
+                              : static_cast<float>(rng.Normal());
+      }
+      Tensor dy(full.Forward(x).shape());
+      for (float& v : dy.vec()) v = static_cast<float>(rng.Normal());
+      params_only.Forward(x);
+      full.Backward(dy);
+      params_only.BackwardParams(dy);
+    }
+    const auto want = full.Parameters();
+    const auto got = params_only.Parameters();
+    ASSERT_EQ(want.size(), got.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      ASSERT_TRUE(want[i]->grad.SameShape(got[i]->grad)) << want[i]->name;
+      EXPECT_EQ(std::memcmp(want[i]->grad.data(), got[i]->grad.data(),
+                            want[i]->grad.size() * sizeof(float)),
+                0)
+          << want[i]->name << " for an MLP of width " << shape.sizes.front();
+    }
   }
 }
 

@@ -61,6 +61,35 @@ std::unique_ptr<Catalog> MakeTinyCatalog() {
   return catalog;
 }
 
+namespace {
+
+// Row-at-a-time predicate check, written independently of the library's
+// column-at-a-time QualifyingBitmapInto so the oracle does not share the
+// kernel it verifies. NULL never qualifies.
+bool RowMatchesAll(const std::vector<exec::BoundPredicate>& preds,
+                   size_t row) {
+  for (const auto& p : preds) {
+    if (p.never_matches || p.column->IsNull(row)) return false;
+    const double v = p.column->GetNumeric(row);
+    bool match = false;
+    switch (p.op) {
+      case workload::CompareOp::kEq:
+        match = v == p.value;
+        break;
+      case workload::CompareOp::kLt:
+        match = v < p.value;
+        break;
+      case workload::CompareOp::kGt:
+        match = v > p.value;
+        break;
+    }
+    if (!match) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
 uint64_t BruteForceCount(const Catalog& catalog,
                          const workload::QuerySpec& spec) {
   // Bind predicates per table once.
@@ -99,7 +128,7 @@ uint64_t BruteForceCount(const Catalog& catalog,
   for (;;) {
     bool ok = true;
     for (size_t i = 0; ok && i < tables.size(); ++i) {
-      ok = exec::RowMatchesAll(preds[i], row[i]);
+      ok = RowMatchesAll(preds[i], row[i]);
     }
     for (size_t i = 0; ok && i < joins.size(); ++i) {
       const auto& jc = joins[i];
