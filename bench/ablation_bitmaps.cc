@@ -36,15 +36,15 @@ int main(int argc, char** argv) {
   const storage::Catalog& db = **catalog;
   const auto tables = bench::JobLightTables();
 
-  // Label one workload; both variants train from it.
-  auto sample_set = est::SampleSet::Build(db, samples, seed).value();
+  // Label one workload; both variants train from it, each featurizing it
+  // against its own sample set (with or without the bitmaps).
   workload::GeneratorOptions gen_opts;
   gen_opts.tables = tables;
   gen_opts.max_tables = 5;
   gen_opts.min_predicates = 0;
   gen_opts.seed = seed + 1;
   auto generator = workload::QueryGenerator::Create(&db, gen_opts).value();
-  auto labeled = workload::LabelQueries(db, &sample_set,
+  auto labeled = workload::LabelQueries(db, /*samples=*/nullptr,
                                         generator.GenerateMany(queries))
                      .value();
 

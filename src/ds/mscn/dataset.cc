@@ -6,16 +6,18 @@ namespace ds::mscn {
 
 Result<Dataset> Dataset::Build(
     const FeatureSpace& space, const est::SampleSet& samples,
-    const std::vector<workload::LabeledQuery>& workload) {
+    const std::vector<workload::LabeledQuery>& workload, bool use_bitmaps) {
   Dataset ds;
   ds.features.reserve(workload.size());
   ds.labels.reserve(workload.size());
+  FeaturizeScratch scratch;
+  SparseQueryFeatures rows;
   for (const auto& lq : workload) {
-    DS_ASSIGN_OR_RETURN(workload::QuerySpec resolved,
-                        ResolveStringLiterals(lq.spec, samples));
-    DS_ASSIGN_OR_RETURN(QueryFeatures qf,
-                        space.Featurize(resolved, lq.bitmaps));
-    ds.features.push_back(std::move(qf));
+    DS_RETURN_NOT_OK(
+        space.FeaturizeSparse(lq.spec, samples, use_bitmaps, &scratch, &rows));
+    // Copy-construct from the reused scratch rows: a copy is allocated at
+    // exactly its size, where rows grown in place keep doubling slack.
+    ds.features.push_back(rows);
     ds.labels.push_back(static_cast<double>(lq.cardinality));
   }
   return ds;
@@ -23,52 +25,8 @@ Result<Dataset> Dataset::Build(
 
 namespace {
 
-// Fills `flat` [B*S, dim] and `mask` [B, S] from per-query element lists.
-void PackSet(const std::vector<const std::vector<std::vector<float>>*>& sets,
-             size_t dim, nn::Tensor* flat, nn::Tensor* mask) {
-  const size_t b = sets.size();
-  size_t s = 1;
-  for (const auto* set : sets) s = std::max(s, set->size());
-  *flat = nn::Tensor({b * s, dim});
-  *mask = nn::Tensor({b, s});
-  for (size_t i = 0; i < b; ++i) {
-    const auto& elements = *sets[i];
-    for (size_t j = 0; j < elements.size(); ++j) {
-      DS_CHECK_EQ(elements[j].size(), dim);
-      std::copy(elements[j].begin(), elements[j].end(),
-                flat->data() + (i * s + j) * dim);
-      mask->at(i, j) = 1.0f;
-    }
-  }
-}
-
-}  // namespace
-
-Batch MakeBatch(const Dataset& dataset, const std::vector<size_t>& indices,
-                const FeatureSpace& space) {
-  Batch batch;
-  std::vector<const std::vector<std::vector<float>>*> tables, joins, preds;
-  tables.reserve(indices.size());
-  joins.reserve(indices.size());
-  preds.reserve(indices.size());
-  batch.labels.reserve(indices.size());
-  for (size_t idx : indices) {
-    const QueryFeatures& qf = dataset.features[idx];
-    tables.push_back(&qf.tables);
-    joins.push_back(&qf.joins);
-    preds.push_back(&qf.predicates);
-    batch.labels.push_back(dataset.labels[idx]);
-  }
-  PackSet(tables, space.table_dim(), &batch.tables, &batch.table_mask);
-  PackSet(joins, space.join_dim(), &batch.joins, &batch.join_mask);
-  PackSet(preds, space.pred_dim(), &batch.predicates, &batch.predicate_mask);
-  return batch;
-}
-
-namespace {
-
-// Sparse counterpart of PackSet: concatenates each query's CSR rows, padded
-// to the per-batch max with empty rows.
+// Concatenates each query's CSR rows into `flat`, padding every set to the
+// per-batch max (at least 1) with empty rows, and marks real rows in `mask`.
 void PackSparseSet(const std::vector<const SparseQueryFeatures*>& queries,
                    nn::SparseRows SparseQueryFeatures::* member, size_t dim,
                    nn::SparseRows* flat, nn::Tensor* mask) {

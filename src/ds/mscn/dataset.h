@@ -3,6 +3,8 @@
 // The three feature sets of a query have variable sizes (1-N tables, 0-N
 // joins, 0-N predicates). A batch pads each set to the batch maximum and
 // carries 0/1 masks so the masked set-average only pools real elements.
+// Training and estimation featurize with the same FeaturizeSparse and pack
+// with the same PackSparseBatch.
 
 #ifndef DS_MSCN_DATASET_H_
 #define DS_MSCN_DATASET_H_
@@ -17,33 +19,19 @@ namespace ds::mscn {
 
 /// Featurized queries with their true cardinalities.
 struct Dataset {
-  std::vector<QueryFeatures> features;
+  std::vector<SparseQueryFeatures> features;
   std::vector<double> labels;  // true cardinalities
 
   size_t size() const { return features.size(); }
 
-  /// Featurizes a labeled workload. Each query's string literals are
-  /// resolved through the samples; its stored bitmaps (computed by the
-  /// labeler against the same samples) feed the table features.
+  /// Featurizes a labeled workload with FeaturizeSparse against `samples`
+  /// (bitmaps included when `use_bitmaps`), exactly as the sketch will
+  /// featurize the same query at estimation time. The workload's own
+  /// `bitmaps` are not read. Each query's rows are stored sized exactly.
   static Result<Dataset> Build(
       const FeatureSpace& space, const est::SampleSet& samples,
-      const std::vector<workload::LabeledQuery>& workload);
+      const std::vector<workload::LabeledQuery>& workload, bool use_bitmaps);
 };
-
-/// A padded mini-batch: flat [B*S, dim] feature tensors plus [B, S] masks.
-struct Batch {
-  nn::Tensor tables, table_mask;
-  nn::Tensor joins, join_mask;
-  nn::Tensor predicates, predicate_mask;
-  std::vector<double> labels;
-
-  size_t batch_size() const { return table_mask.dim(0); }
-};
-
-/// Assembles the batch for `indices` of `dataset`. Set sizes are padded to
-/// the per-batch maximum (at least 1 so tensor shapes stay valid).
-Batch MakeBatch(const Dataset& dataset, const std::vector<size_t>& indices,
-                const FeatureSpace& space);
 
 /// A padded mini-batch with CSR feature rows: B*S sparse rows per set
 /// (empty rows pad; pooling ignores them via the masks) plus dense [B, S]

@@ -6,6 +6,41 @@
 
 namespace ds::mscn {
 
+namespace {
+
+// True if any predicate literal is still an unresolved string. Queries
+// without string literals skip the resolution copy entirely.
+bool HasStringLiterals(const workload::QuerySpec& spec) {
+  for (const auto& pred : spec.predicates) {
+    if (std::holds_alternative<std::string>(pred.literal)) return true;
+  }
+  return false;
+}
+
+// Rewrites string literals in `spec` to their dictionary codes using the
+// sample columns (which share the base tables' dictionaries). Returns
+// NotFound for strings absent from the data — callers decide whether that
+// is an error (training) or an "estimate is zero" signal (ad-hoc queries).
+Status ResolveStringLiteralsInPlace(workload::QuerySpec* spec,
+                                    const est::SampleSet& samples) {
+  for (auto& pred : spec->predicates) {
+    if (!std::holds_alternative<std::string>(pred.literal)) continue;
+    DS_ASSIGN_OR_RETURN(const est::TableSample* ts, samples.Get(pred.table));
+    DS_ASSIGN_OR_RETURN(const storage::Column* col,
+                        ts->rows->GetColumn(pred.column));
+    if (col->dict() == nullptr) {
+      return Status::InvalidArgument("string literal on non-categorical " +
+                                     pred.ToString());
+    }
+    DS_ASSIGN_OR_RETURN(
+        int64_t code, col->dict()->Lookup(std::get<std::string>(pred.literal)));
+    pred.literal = code;
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 std::string FeatureSpace::JoinKey(const workload::JoinEdge& edge) {
   std::string a = edge.left_table + "." + edge.left_column;
   std::string b = edge.right_table + "." + edge.right_column;
@@ -59,113 +94,6 @@ Result<size_t> FeatureSpace::TableIndex(const std::string& table) const {
   return it->second;
 }
 
-Result<QueryFeatures> FeatureSpace::Featurize(
-    const workload::QuerySpec& spec,
-    const std::vector<std::vector<uint8_t>>& bitmaps) const {
-  if (!bitmaps.empty() && bitmaps.size() != spec.tables.size()) {
-    return Status::InvalidArgument("bitmap count does not match table count");
-  }
-  QueryFeatures out;
-
-  // Table set: one-hot + bitmap (zero-padded to sample_size).
-  for (size_t i = 0; i < spec.tables.size(); ++i) {
-    DS_ASSIGN_OR_RETURN(size_t idx, TableIndex(spec.tables[i]));
-    std::vector<float> feat(table_dim(), 0.0f);
-    feat[idx] = 1.0f;
-    if (!bitmaps.empty()) {
-      const auto& bm = bitmaps[i];
-      const size_t n = std::min(bm.size(), sample_size_);
-      for (size_t j = 0; j < n; ++j) {
-        feat[table_names_.size() + j] = bm[j] ? 1.0f : 0.0f;
-      }
-    }
-    out.tables.push_back(std::move(feat));
-  }
-
-  // Join set: one-hot per edge.
-  for (const auto& join : spec.joins) {
-    auto it = join_index_.find(JoinKey(join));
-    if (it == join_index_.end()) {
-      return Status::InvalidArgument(
-          "join " + join.ToString() +
-          " is outside this sketch's feature space");
-    }
-    std::vector<float> feat(join_dim(), 0.0f);
-    feat[it->second] = 1.0f;
-    out.joins.push_back(std::move(feat));
-  }
-
-  // Predicate set: column one-hot ⊕ op one-hot ⊕ normalized literal.
-  for (const auto& pred : spec.predicates) {
-    const std::string key = pred.table + "." + pred.column;
-    auto it = column_index_.find(key);
-    if (it == column_index_.end()) {
-      return Status::InvalidArgument(
-          "column " + key + " is outside this sketch's feature space");
-    }
-    // The literal must resolve against the sketch's feature space, not the
-    // live database, so normalization only uses stored min/max. Categorical
-    // strings still need the dictionary; FeaturizeWithSamples and the
-    // training path both have access to columns sharing it. Here the literal
-    // is expected to be numeric already or resolvable via the predicate's
-    // CellValue (int64/double); strings reach us only through
-    // ResolvePredicateValue at a higher layer.
-    double value = 0;
-    if (const auto* i = std::get_if<int64_t>(&pred.literal)) {
-      value = static_cast<double>(*i);
-    } else if (const auto* d = std::get_if<double>(&pred.literal)) {
-      value = *d;
-    } else {
-      return Status::InvalidArgument(
-          "string literal must be resolved to its dictionary code before "
-          "featurization: " +
-          pred.ToString());
-    }
-    const size_t c = it->second;
-    const double lo = column_min_[c], hi = column_max_[c];
-    const double norm =
-        hi > lo ? std::clamp((value - lo) / (hi - lo), 0.0, 1.0) : 0.5;
-    std::vector<float> feat(pred_dim(), 0.0f);
-    feat[c] = 1.0f;
-    feat[column_keys_.size() + static_cast<size_t>(pred.op)] = 1.0f;
-    feat[column_keys_.size() + 3] = static_cast<float>(norm);
-    out.predicates.push_back(std::move(feat));
-  }
-  return out;
-}
-
-bool HasStringLiterals(const workload::QuerySpec& spec) {
-  for (const auto& pred : spec.predicates) {
-    if (std::holds_alternative<std::string>(pred.literal)) return true;
-  }
-  return false;
-}
-
-Status ResolveStringLiteralsInPlace(workload::QuerySpec* spec,
-                                    const est::SampleSet& samples) {
-  for (auto& pred : spec->predicates) {
-    if (!std::holds_alternative<std::string>(pred.literal)) continue;
-    DS_ASSIGN_OR_RETURN(const est::TableSample* ts, samples.Get(pred.table));
-    DS_ASSIGN_OR_RETURN(const storage::Column* col,
-                        ts->rows->GetColumn(pred.column));
-    if (col->dict() == nullptr) {
-      return Status::InvalidArgument("string literal on non-categorical " +
-                                     pred.ToString());
-    }
-    DS_ASSIGN_OR_RETURN(
-        int64_t code, col->dict()->Lookup(std::get<std::string>(pred.literal)));
-    pred.literal = code;
-  }
-  return Status::OK();
-}
-
-Result<workload::QuerySpec> ResolveStringLiterals(
-    const workload::QuerySpec& spec, const est::SampleSet& samples) {
-  workload::QuerySpec resolved = spec;
-  DS_RETURN_NOT_OK(ResolveStringLiteralsInPlace(&resolved, samples));
-  return resolved;
-}
-
 Status FeatureSpace::FeaturizeSparse(const workload::QuerySpec& spec,
                                      const est::SampleSet& samples,
                                      bool use_bitmaps,
@@ -183,8 +111,7 @@ Status FeatureSpace::FeaturizeSparse(const workload::QuerySpec& spec,
 
   // Table set: one-hot at the table index, then bitmap ones. The one-hot
   // index is always below the bitmap base, so columns stay strictly
-  // increasing; zero bitmap bytes are simply not emitted (the dense kernel
-  // skips zeros, so the accumulation order is identical).
+  // increasing; zero bitmap bytes are simply not emitted.
   for (const auto& tname : q->tables) {
     DS_ASSIGN_OR_RETURN(size_t idx, TableIndex(tname));
     out->tables.Push(static_cast<uint32_t>(idx), 1.0f);
@@ -250,7 +177,7 @@ Status FeatureSpace::FeaturizeSparse(const workload::QuerySpec& spec,
   }
 
   // Predicate set: column one-hot, op one-hot, literal (skipped when it
-  // normalizes to exactly zero — the dense path's zero-skip equivalent).
+  // normalizes to exactly zero: CSR rows hold no explicit zeros).
   for (const auto& pred : q->predicates) {
     scratch->key.clear();
     scratch->key += pred.table;
@@ -297,20 +224,6 @@ Status FeatureSpace::FeaturizeSparse(const workload::QuerySpec& spec,
             out->tables.rows(), out->joins.rows(), out->predicates.rows(),
             q->tables.size(), q->joins.size(), q->predicates.size());
   return Status::OK();
-}
-
-Result<QueryFeatures> FeatureSpace::FeaturizeWithSamples(
-    const workload::QuerySpec& spec, const est::SampleSet& samples) const {
-  DS_ASSIGN_OR_RETURN(workload::QuerySpec resolved,
-                      ResolveStringLiterals(spec, samples));
-  std::vector<std::vector<uint8_t>> bitmaps;
-  bitmaps.reserve(resolved.tables.size());
-  for (const auto& table : resolved.tables) {
-    DS_ASSIGN_OR_RETURN(auto bitmap,
-                        samples.Bitmap(table, resolved.predicates));
-    bitmaps.push_back(std::move(bitmap));
-  }
-  return Featurize(resolved, bitmaps);
 }
 
 void FeatureSpace::Write(util::BinaryWriter* w) const {

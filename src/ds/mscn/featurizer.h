@@ -11,8 +11,9 @@
 //   predicate element: [column one-hot | op one-hot | normalized literal]
 //
 // The FeatureSpace fixes the enumerations and column ranges; it is part of
-// a sketch's persistent state so that featurization is identical at training
-// and estimation time.
+// a sketch's persistent state. FeaturizeSparse is the only featurizer:
+// training (mscn::Dataset) and estimation both call it, so a query is
+// featurized identically at training and estimation time by construction.
 
 #ifndef DS_MSCN_FEATURIZER_H_
 #define DS_MSCN_FEATURIZER_H_
@@ -30,18 +31,10 @@
 
 namespace ds::mscn {
 
-/// One featurized query: three sets of equal-width feature vectors.
-struct QueryFeatures {
-  std::vector<std::vector<float>> tables;      // each of width table_dim
-  std::vector<std::vector<float>> joins;       // each of width join_dim
-  std::vector<std::vector<float>> predicates;  // each of width pred_dim
-};
-
-/// One featurized query in CSR form: one sparse row per set element. The
-/// feature rows are overwhelmingly zero (one-hots plus a sample bitmap), so
-/// the serving path stores only the nonzeros and feeds them to the sparse
-/// first-layer kernel. ToDense() of each member reproduces the dense
-/// QueryFeatures rows exactly.
+/// One featurized query in CSR form: three sets of equal-width feature
+/// rows, one sparse row per set element. The rows are overwhelmingly zero
+/// (one-hots plus a sample bitmap), so only the nonzeros are stored, and
+/// they feed the sparse first-layer kernels in training and inference.
 struct SparseQueryFeatures {
   nn::SparseRows tables;      // width table_dim
   nn::SparseRows joins;       // width join_dim
@@ -85,26 +78,15 @@ class FeatureSpace {
   size_t num_joins() const { return join_keys_.size(); }
   size_t num_columns() const { return column_keys_.size(); }
 
-  /// Featurizes a query given its per-table sample bitmaps (parallel to
-  /// spec.tables, padded/truncated to sample_size automatically). Fails on
-  /// tables/joins/columns outside this feature space, or on literals that
-  /// cannot be resolved (unknown categorical strings surface as NotFound).
-  Result<QueryFeatures> Featurize(
-      const workload::QuerySpec& spec,
-      const std::vector<std::vector<uint8_t>>& bitmaps) const;
-
-  /// Featurizes with bitmaps computed against `samples` (estimation path,
-  /// Figure 1b: the sketch evaluates base-table selections on its own
-  /// materialized samples).
-  Result<QueryFeatures> FeaturizeWithSamples(
-      const workload::QuerySpec& spec, const est::SampleSet& samples) const;
-
-  /// Sparse, allocation-free counterpart of FeaturizeWithSamples: resolves
-  /// string literals (via a scratch copy only when the query has any),
-  /// evaluates per-table bitmaps when `use_bitmaps`, and emits CSR rows into
-  /// `out` with strictly increasing column indices and no explicit zeros —
-  /// so ToDense() matches the dense path bit-for-bit. With a warm scratch
-  /// and output, featurizing touches no allocator.
+  /// Featurizes `spec` into CSR rows in `out`: resolves string literals
+  /// through the samples' dictionaries (via a scratch copy only when the
+  /// query has any), evaluates per-table bitmaps against `samples` when
+  /// `use_bitmaps` (Figure 1b: the sketch evaluates base-table selections
+  /// on its own materialized samples; bitmaps longer than sample_size are
+  /// truncated), and emits rows with strictly increasing column indices and
+  /// no explicit zeros. Fails on tables/joins/columns outside this feature
+  /// space; unknown categorical strings surface as NotFound. With a warm
+  /// scratch and output, featurizing touches no allocator.
   Status FeaturizeSparse(const workload::QuerySpec& spec,
                          const est::SampleSet& samples, bool use_bitmaps,
                          FeaturizeScratch* scratch,
@@ -132,22 +114,6 @@ class FeatureSpace {
 
   size_t sample_size_ = 0;
 };
-
-/// Rewrites string literals in `spec` to their dictionary codes using the
-/// sample columns (which share the base tables' dictionaries). Returns
-/// NotFound for strings absent from the data — callers decide whether that
-/// is an error (training) or an "estimate is zero" signal (ad-hoc queries).
-Result<workload::QuerySpec> ResolveStringLiterals(
-    const workload::QuerySpec& spec, const est::SampleSet& samples);
-
-/// True if any predicate literal is still an unresolved string. Queries
-/// without string literals can skip the resolution copy entirely.
-bool HasStringLiterals(const workload::QuerySpec& spec);
-
-/// In-place variant of ResolveStringLiterals for caller-owned specs (the
-/// zero-allocation path rewrites a reused scratch copy).
-Status ResolveStringLiteralsInPlace(workload::QuerySpec* spec,
-                                    const est::SampleSet& samples);
 
 }  // namespace ds::mscn
 

@@ -68,17 +68,17 @@ void MscnModel::Initialize(util::Pcg32* rng) {
   out_mlp_.Initialize(rng);
 }
 
-nn::Tensor MscnModel::Forward(const Batch& batch) {
+nn::Tensor MscnModel::Forward(const SparseBatch& batch) {
   const size_t h = config_.hidden_units;
   const size_t b = batch.batch_size();
 
   // Per-element shared MLPs on the flattened sets, then masked averaging.
-  nn::Tensor t = table_pool_.Forward(table_mlp_.Forward(batch.tables),
+  nn::Tensor t = table_pool_.Forward(table_mlp_.ForwardSparse(batch.tables),
                                      batch.table_mask);
-  nn::Tensor j =
-      join_pool_.Forward(join_mlp_.Forward(batch.joins), batch.join_mask);
-  nn::Tensor p = pred_pool_.Forward(pred_mlp_.Forward(batch.predicates),
-                                    batch.predicate_mask);
+  nn::Tensor j = join_pool_.Forward(join_mlp_.ForwardSparse(batch.joins),
+                                    batch.join_mask);
+  nn::Tensor p = pred_pool_.Forward(
+      pred_mlp_.ForwardSparse(batch.predicates), batch.predicate_mask);
 
   // Concatenate the three pooled representations.
   nn::Tensor concat({b, 3 * h});
@@ -135,8 +135,8 @@ void MscnModel::Backward(const nn::Tensor& dy) {
     std::copy(row + 2 * h, row + 3 * h, dp.data() + i * h);
   }
 
-  // The set MLPs' inputs are featurized data, so their input gradients
-  // would be discarded; out_mlp_ above needs its own (dconcat).
+  // The set MLPs are fed CSR feature rows, which take no gradient; out_mlp_
+  // above needs its input gradient (dconcat).
   table_mlp_.BackwardParams(table_pool_.Backward(dt));
   join_mlp_.BackwardParams(join_pool_.Backward(dj));
   pred_mlp_.BackwardParams(pred_pool_.Backward(dp));

@@ -41,9 +41,10 @@ class MscnModel {
 
   void Initialize(util::Pcg32* rng);
 
-  /// Forward pass over a padded batch; returns sigmoid outputs [B, 1].
+  /// Forward pass over a padded batch; returns sigmoid outputs [B, 1]. The
+  /// CSR rows feed the first layer of each set-MLP, as in InferSparse.
   /// Caches activations for Backward — training only, not thread-safe.
-  nn::Tensor Forward(const Batch& batch);
+  nn::Tensor Forward(const SparseBatch& batch);
 
   /// Backpropagates dLoss/dOutput [B, 1]; gradients accumulate in the
   /// parameters. Must follow a Forward on the same batch.
@@ -52,9 +53,8 @@ class MscnModel {
   /// Inference: sigmoid outputs [B, 1] through the fused kernels, with CSR
   /// feature rows feeding the first layer of each set-MLP (featurized
   /// one-hot/bitmap rows are overwhelmingly zero). Bit-for-bit identical to
-  /// Forward on the equivalent dense Batch (MakeBatch) on the bit-stable
-  /// kernel tiers, but touches no mutable state, so concurrent calls on a
-  /// shared model are safe once training is done. All intermediates live
+  /// the training Forward on the same batch, but touches no mutable state,
+  /// so concurrent calls on a shared model are safe once training is done. All intermediates live
   /// in `ws`, so a warm workspace makes the pass allocation-free; the
   /// returned tensor points into `ws` and is valid until ws->Reset(). One
   /// workspace per thread. This is the only inference path (ds::serve and

@@ -16,6 +16,25 @@ namespace ds::mscn {
 
 namespace {
 
+// The queries at some dataset indices, packed by the PackSparseBatch the
+// estimation path uses, with their labels. Reused across steps.
+struct LabeledBatch {
+  std::vector<const SparseQueryFeatures*> queries;
+  SparseBatch rows;
+  std::vector<double> labels;
+
+  void Pack(const Dataset& dataset, std::span<const size_t> indices,
+            const FeatureSpace& space) {
+    queries.clear();
+    labels.clear();
+    for (size_t idx : indices) {
+      queries.push_back(&dataset.features[idx]);
+      labels.push_back(dataset.labels[idx]);
+    }
+    PackSparseBatch(queries, space, &rows);
+  }
+};
+
 // One data-parallel worker: a full model replica whose parameters are
 // refreshed from the master before each sharded step and whose gradients
 // are reduced back afterwards.
@@ -25,6 +44,7 @@ struct Replica {
   }
   MscnModel model;
   std::vector<nn::Parameter*> params;
+  LabeledBatch batch;
   double loss = 0;          // shard loss scaled by shard/batch size
   double busy_seconds = 0;  // wall time inside the shard step
 };
@@ -39,7 +59,7 @@ struct Replica {
 double ShardedBatchGradients(const std::vector<nn::Parameter*>& master_params,
                              std::vector<std::unique_ptr<Replica>>& replicas,
                              const Dataset& dataset, const FeatureSpace& space,
-                             const std::vector<size_t>& batch_idx,
+                             std::span<const size_t> batch_idx,
                              const nn::LogNormalizer& normalizer,
                              LossKind loss_kind, double* busy_seconds_sum) {
   const size_t total = batch_idx.size();
@@ -53,9 +73,9 @@ double ShardedBatchGradients(const std::vector<nn::Parameter*>& master_params,
     for (size_t pi = 0; pi < master_params.size(); ++pi) {
       rep.params[pi]->value.vec() = master_params[pi]->value.vec();
     }
-    std::vector<size_t> shard(batch_idx.begin() + lo, batch_idx.begin() + hi);
-    Batch sb = MakeBatch(dataset, shard, space);
-    nn::Tensor y = rep.model.Forward(sb);
+    LabeledBatch& sb = rep.batch;
+    sb.Pack(dataset, batch_idx.subspan(lo, hi - lo), space);
+    nn::Tensor y = rep.model.Forward(sb.rows);
     nn::Tensor dy(y.shape());
     double loss = loss_kind == LossKind::kQError
                       ? nn::QErrorLoss(y, sb.labels, normalizer, &dy)
@@ -138,6 +158,7 @@ Result<TrainingReport> Trainer::Train(MscnModel* model, const Dataset& dataset,
 
   double busy_seconds_sum = 0;   // worker busy time, for efficiency export
   double epoch_wall_seconds = 0; // parallel-section wall time
+  LabeledBatch batch;            // the sequential path's reused batch
 
   for (size_t epoch = 1; epoch <= options_.epochs; ++epoch) {
     obs::Span epoch_span("train_epoch", epoch);
@@ -149,12 +170,12 @@ Result<TrainingReport> Trainer::Train(MscnModel* model, const Dataset& dataset,
     for (size_t off = 0; off < train_idx.size();
          off += options_.batch_size) {
       const size_t end = std::min(off + options_.batch_size, train_idx.size());
-      std::vector<size_t> batch_idx(train_idx.begin() + off,
-                                    train_idx.begin() + end);
+      const std::span<const size_t> batch_idx =
+          std::span<const size_t>(train_idx).subspan(off, end - off);
       double loss;
       if (num_threads <= 1) {
-        Batch batch = MakeBatch(dataset, batch_idx, space);
-        nn::Tensor y = model->Forward(batch);
+        batch.Pack(dataset, batch_idx, space);
+        nn::Tensor y = model->Forward(batch.rows);
         nn::Tensor dy(y.shape());
         if (options_.loss == LossKind::kQError) {
           loss = nn::QErrorLoss(y, batch.labels, report.normalizer, &dy);
@@ -178,7 +199,7 @@ Result<TrainingReport> Trainer::Train(MscnModel* model, const Dataset& dataset,
     stats.epoch = epoch;
     stats.train_loss = loss_sum / static_cast<double>(num_batches);
     if (!val_idx.empty()) {
-      auto preds = PredictIndices(model, dataset, space, report.normalizer,
+      auto preds = PredictIndices(*model, dataset, space, report.normalizer,
                                   val_idx, options_.batch_size);
       std::vector<double> q;
       q.reserve(val_idx.size());
@@ -229,43 +250,23 @@ Result<TrainingReport> Trainer::Train(MscnModel* model, const Dataset& dataset,
 }
 
 std::vector<double> Trainer::PredictIndices(
-    MscnModel* model, const Dataset& dataset, const FeatureSpace& space,
-    const nn::LogNormalizer& normalizer, const std::vector<size_t>& indices,
+    const MscnModel& model, const Dataset& dataset, const FeatureSpace& space,
+    const nn::LogNormalizer& normalizer, std::span<const size_t> indices,
     size_t batch_size) {
   std::vector<double> out;
   out.reserve(indices.size());
+  LabeledBatch batch;
+  nn::Workspace ws;
   for (size_t off = 0; off < indices.size(); off += batch_size) {
-    const size_t end = std::min(off + batch_size, indices.size());
-    std::vector<size_t> batch_idx(indices.begin() + off,
-                                  indices.begin() + end);
-    Batch batch = MakeBatch(dataset, batch_idx, space);
-    nn::Tensor y = model->Forward(batch);
-    for (size_t i = 0; i < batch_idx.size(); ++i) {
-      out.push_back(normalizer.Denormalize(static_cast<double>(y.at(i))));
+    const size_t n = std::min(batch_size, indices.size() - off);
+    batch.Pack(dataset, indices.subspan(off, n), space);
+    ws.Reset();
+    const nn::Tensor* y = model.InferSparse(batch.rows, &ws);
+    for (size_t i = 0; i < n; ++i) {
+      out.push_back(normalizer.Denormalize(static_cast<double>(y->at(i))));
     }
   }
   return out;
-}
-
-std::vector<double> Trainer::Predict(MscnModel* model, const Dataset& dataset,
-                                     const FeatureSpace& space,
-                                     const nn::LogNormalizer& normalizer,
-                                     size_t batch_size) {
-  std::vector<size_t> indices(dataset.size());
-  std::iota(indices.begin(), indices.end(), 0);
-  return PredictIndices(model, dataset, space, normalizer, indices,
-                        batch_size);
-}
-
-std::vector<double> Trainer::QErrors(const std::vector<double>& predictions,
-                                     const Dataset& dataset) {
-  DS_CHECK_EQ(predictions.size(), dataset.size());
-  std::vector<double> q;
-  q.reserve(predictions.size());
-  for (size_t i = 0; i < predictions.size(); ++i) {
-    q.push_back(util::QError(dataset.labels[i], predictions[i]));
-  }
-  return q;
 }
 
 }  // namespace ds::mscn

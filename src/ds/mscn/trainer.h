@@ -9,6 +9,7 @@
 #define DS_MSCN_TRAINER_H_
 
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -79,21 +80,12 @@ class Trainer {
   Result<TrainingReport> Train(MscnModel* model, const Dataset& dataset,
                                const FeatureSpace& space) const;
 
-  /// Predicted cardinalities for every query of `dataset` (no training).
-  static std::vector<double> Predict(MscnModel* model, const Dataset& dataset,
-                                     const FeatureSpace& space,
-                                     const nn::LogNormalizer& normalizer,
-                                     size_t batch_size = 128);
-
-  /// Predicted cardinalities for a subset of `dataset`.
+  /// Predicted cardinalities for a subset of `dataset` (the validation
+  /// pass), through the same InferSparse the sketch estimates with.
   static std::vector<double> PredictIndices(
-      MscnModel* model, const Dataset& dataset, const FeatureSpace& space,
-      const nn::LogNormalizer& normalizer, const std::vector<size_t>& indices,
-      size_t batch_size = 128);
-
-  /// Per-query q-errors of predictions against the dataset labels.
-  static std::vector<double> QErrors(const std::vector<double>& predictions,
-                                     const Dataset& dataset);
+      const MscnModel& model, const Dataset& dataset,
+      const FeatureSpace& space, const nn::LogNormalizer& normalizer,
+      std::span<const size_t> indices, size_t batch_size = 128);
 
  private:
   TrainerOptions options_;

@@ -232,4 +232,28 @@ void SparseLinearBiasActInto(const SparseRows& x, const Tensor& weight,
   DS_NO_ALLOC_END();
 }
 
+void SparseMatMulTransposedAAccumulate(const SparseRows& a, const Tensor& b,
+                                       Tensor* c) {
+  DS_REQUIRE(b.rank() == 2 && c->rank() == 2,
+             "SparseMatMulTransposedAAccumulate wants 2D b and c, got rank "
+             "%zu / %zu",
+             b.rank(), c->rank());
+  const size_t n = a.rows(), k = a.dim, m = b.dim(1);
+  DS_REQUIRE(n == b.dim(0),
+             "SparseMatMulTransposedAAccumulate outer dims disagree: "
+             "[%zu,%zu]^T x [%zu,%zu]",
+             n, k, b.dim(0), m);
+  DS_REQUIRE(c->dim(0) == k && c->dim(1) == m,
+             "SparseMatMulTransposedAAccumulate accumulator is [%zu,%zu], "
+             "wants [%zu,%zu]",
+             c->dim(0), c->dim(1), k, m);
+  DS_NO_ALLOC_BEGIN();
+  Ops().sparse_ta_acc(a.row_offsets.data(), a.cols.data(), a.vals.data(), n,
+                      b.data(), c->data(), m);
+  CountKernel(GlobalKernelStats().sparse_calls, a.nonzeros() * m,
+              (a.nonzeros() * 2 * sizeof(uint32_t)) +
+                  (a.nonzeros() + n * m + k * m) * sizeof(float));
+  DS_NO_ALLOC_END();
+}
+
 }  // namespace ds::nn

@@ -24,7 +24,8 @@
 //     fp32; DESIGN.md §8 records why packed int8/fp16 weights are not used.
 //   * SparseRows is a CSR representation of the MSCN's one-hot/bitmap
 //     feature rows (overwhelmingly zero); SparseLinearBiasActInto multiplies
-//     it against a dense weight matrix touching only the nonzeros.
+//     it against a dense weight matrix touching only the nonzeros, and
+//     SparseMatMulTransposedAAccumulate forms the weight gradient from it.
 //
 // Thread-safety: all kernels are pure functions of their arguments; distinct
 // output tensors may be computed concurrently. KernelStats counters are
@@ -52,7 +53,7 @@ namespace ds::nn {
 struct KernelStats {
   std::atomic<uint64_t> dense_calls{0};   // MatMulInto and transposed forms
   std::atomic<uint64_t> fused_calls{0};   // LinearBiasActInto
-  std::atomic<uint64_t> sparse_calls{0};  // SparseLinearBiasActInto
+  std::atomic<uint64_t> sparse_calls{0};  // kernels fed SparseRows
   std::atomic<uint64_t> flops{0};         // 2 * multiply-accumulates issued
   std::atomic<uint64_t> bytes{0};         // operand + result bytes touched
 };
@@ -114,11 +115,13 @@ void LinearBiasActInto(const Tensor& x, const Tensor& weight,
 
 /// CSR-style rows of an implicit dense [rows, dim] matrix. The MSCN feature
 /// rows (table one-hot + sample bitmap, join one-hot, predicate one-hot +
-/// literal) are overwhelmingly zero; storing only the nonzeros makes the
-/// first layer of each set-MLP proportional to the nonzero count. Column
-/// indices within a row must be strictly increasing — the same order the
-/// dense reference walks k — which keeps the sparse product bit-for-bit
-/// equal to the dense one. Clear() keeps capacity, so a reused SparseRows
+/// literal) are overwhelmingly zero; they are featurized, trained on and
+/// served in this form only, so the first layer of each set-MLP costs in
+/// proportion to the nonzero count in both directions. Column indices
+/// within a row must be strictly increasing — the same order the dense
+/// kernels walk k — and no stored value may be zero (the dense kernels
+/// skip zeros), which keeps every sparse product bit-for-bit equal to the
+/// dense one on ToDense(). Clear() keeps capacity, so a reused SparseRows
 /// stops allocating once it has seen the largest batch.
 struct SparseRows {
   size_t dim = 0;                      // dense row width
@@ -178,6 +181,12 @@ struct SparseRows {
 /// ToDense() input because zero entries contribute nothing in either path.
 void SparseLinearBiasActInto(const SparseRows& x, const Tensor& weight,
                              const Tensor& bias, bool fuse_relu, Tensor* y);
+
+/// C += A^T x B with A [n,k] in CSR form and B [n,m] dense, accumulating
+/// into `c` [k,m] (the weight gradient of a sparse-fed layer). Bit-for-bit
+/// equal to MatMulTransposedAAccumulate on ToDense() input.
+void SparseMatMulTransposedAAccumulate(const SparseRows& a, const Tensor& b,
+                                       Tensor* c);
 
 }  // namespace ds::nn
 

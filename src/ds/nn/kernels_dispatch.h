@@ -48,6 +48,10 @@ struct KernelOps {
                         const float* vals, size_t n, const float* w,
                         const float* bias, bool fuse_relu, float* y,
                         size_t m);
+  // c[k,m] += csr(a)[n,k]^T * b[n,m]
+  void (*sparse_ta_acc)(const uint32_t* offs, const uint32_t* cols,
+                        const float* vals, size_t n, const float* b,
+                        float* c, size_t m);
 };
 
 /// Per-tier tables. A getter returns nullptr when its tier was compiled

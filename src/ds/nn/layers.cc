@@ -22,8 +22,18 @@ void Linear::Initialize(util::Pcg32* rng) {
 Tensor Linear::Forward(const Tensor& x) {
   DS_CHECK_EQ(x.rank(), 2u);
   cached_x_ = x;
+  sparse_fed_ = false;
   Tensor y;
   LinearBiasActInto(x, weight_.value, bias_.value, /*fuse_relu=*/false, &y);
+  return y;
+}
+
+Tensor Linear::ForwardSparse(const SparseRows& x) {
+  cached_sparse_x_ = x;
+  sparse_fed_ = true;
+  Tensor y;
+  SparseLinearBiasActInto(x, weight_.value, bias_.value, /*fuse_relu=*/false,
+                          &y);
   return y;
 }
 
@@ -37,6 +47,10 @@ void Linear::InferSparseInto(const SparseRows& x, bool fuse_relu,
 }
 
 Tensor Linear::Backward(const Tensor& dy) {
+  DS_REQUIRE(!sparse_fed_,
+             "%s was fed CSR rows, which have no input gradient; use "
+             "BackwardParams",
+             weight_.name.c_str());
   BackwardParams(dy);
   // dx = dy W^T.
   Tensor dx;
@@ -45,9 +59,13 @@ Tensor Linear::Backward(const Tensor& dy) {
 }
 
 void Linear::BackwardParams(const Tensor& dy) {
-  DS_CHECK(!cached_x_.empty());
   // dW += x^T dy ; db += column sums of dy.
-  MatMulTransposedAAccumulate(cached_x_, dy, &weight_.grad);
+  if (sparse_fed_) {
+    SparseMatMulTransposedAAccumulate(cached_sparse_x_, dy, &weight_.grad);
+  } else {
+    DS_CHECK(!cached_x_.empty());
+    MatMulTransposedAAccumulate(cached_x_, dy, &weight_.grad);
+  }
   SumRowsInto(dy, &bias_.grad);
 }
 
@@ -109,9 +127,14 @@ void Mlp::Initialize(util::Pcg32* rng) {
 }
 
 Tensor Mlp::Forward(const Tensor& x) {
-  // Feed `x` straight into the first layer (it caches its own input copy);
-  // the old `Tensor h = x;` head copy was pure overhead.
-  Tensor h = layers_[0].Forward(x);
+  return ForwardFromFirstLayer(layers_[0].Forward(x));
+}
+
+Tensor Mlp::ForwardSparse(const SparseRows& x) {
+  return ForwardFromFirstLayer(layers_[0].ForwardSparse(x));
+}
+
+Tensor Mlp::ForwardFromFirstLayer(Tensor h) {
   if (!relus_.empty()) h = relus_[0].Forward(std::move(h));
   for (size_t i = 1; i < layers_.size(); ++i) {
     h = layers_[i].Forward(h);

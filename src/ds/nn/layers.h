@@ -4,7 +4,9 @@
 // Parameter::grad until the optimizer consumes them (call ZeroGrad between
 // steps). All layers operate on 2D activations [batch, features]; the MSCN
 // model flattens set dimensions into the batch dimension before calling
-// into them.
+// into them. The first layer of an MSCN set MLP is fed its featurized rows
+// in CSR form (ForwardSparse) in training as in inference; such a layer
+// caches the rows and accumulates only parameter gradients.
 //
 // Linear and Mlp additionally provide const, workspace-backed `Infer*`
 // paths that compute the same outputs as Forward through the fused kernels
@@ -47,9 +49,14 @@ class Linear {
   void Initialize(util::Pcg32* rng);
 
   Tensor Forward(const Tensor& x);
-  /// Returns dL/dx; accumulates dL/dW and dL/db. Must follow a Forward.
+  /// Forward with the input in CSR form; caches a copy of the rows for
+  /// BackwardParams. Bit-for-bit equal to Forward(x.ToDense()).
+  Tensor ForwardSparse(const SparseRows& x);
+  /// Returns dL/dx; accumulates dL/dW and dL/db. Must follow a dense
+  /// Forward: a layer fed CSR rows has no input gradient (DS_REQUIRE).
   Tensor Backward(const Tensor& dy);
-  /// Backward without dL/dx: accumulates dL/dW and dL/db only.
+  /// Backward without dL/dx: accumulates dL/dW and dL/db only, from the
+  /// input the last Forward or ForwardSparse cached.
   void BackwardParams(const Tensor& dy);
 
   /// Fused allocation-free inference: *y = x W + b, then ReLU when
@@ -68,6 +75,8 @@ class Linear {
   Parameter weight_;  // [in, out]
   Parameter bias_;    // [out]
   Tensor cached_x_;
+  SparseRows cached_sparse_x_;
+  bool sparse_fed_ = false;  // the last forward was ForwardSparse
 };
 
 /// Elementwise max(0, x). Takes its input by value so callers holding an
@@ -107,6 +116,10 @@ class Mlp {
 
   void Initialize(util::Pcg32* rng);
   Tensor Forward(const Tensor& x);
+  /// Forward with layer 0 fed CSR rows (an MSCN set MLP's featurized
+  /// input). Bit-for-bit equal to Forward(x.ToDense()); only
+  /// BackwardParams may follow it.
+  Tensor ForwardSparse(const SparseRows& x);
   Tensor Backward(const Tensor& dy);
   /// Backward for an MLP whose input needs no gradient (the MSCN set MLPs
   /// fed featurized rows): accumulates the same parameter gradients, bit
@@ -117,8 +130,8 @@ class Mlp {
   /// Workspace-backed inference through the fused kernels, with the first
   /// layer fed from CSR rows (the MSCN's sparse featurized inputs): returns
   /// a pointer to the workspace slot holding the output (valid until
-  /// ws->Reset()). Bit-for-bit identical to Forward on ToDense() input.
-  /// Concurrent calls are safe with distinct workspaces.
+  /// ws->Reset()). Bit-for-bit identical to ForwardSparse. Concurrent calls
+  /// are safe with distinct workspaces.
   Tensor* InferSparseInto(const SparseRows& x, Workspace* ws) const;
 
   /// Runs layers [first, end) on the dense activations in `h`, ping-ponging
@@ -134,6 +147,8 @@ class Mlp {
   size_t out_features() const { return layers_.back().out_features(); }
 
  private:
+  /// The forward pass above layer 0, given layer 0's output.
+  Tensor ForwardFromFirstLayer(Tensor h);
   /// Backward through every layer above layer 0 and through layer 0's
   /// ReLU; returns the gradient at layer 0's output.
   Tensor BackwardToFirstLayer(const Tensor& dy);

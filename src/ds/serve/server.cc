@@ -115,7 +115,8 @@ obs::RegistrySnapshot SketchServer::ObsSnapshot() const {
   mirror("ds_nn_kernel_fused_calls_total",
          "Fused linear+bias(+ReLU) invocations",
          k.fused_calls.load(std::memory_order_relaxed));
-  mirror("ds_nn_kernel_sparse_calls_total", "Sparse linear kernel invocations",
+  mirror("ds_nn_kernel_sparse_calls_total",
+         "Kernel invocations on CSR feature rows",
          k.sparse_calls.load(std::memory_order_relaxed));
   mirror("ds_nn_kernel_flops_total",
          "Multiply-accumulate flops issued by kernels",

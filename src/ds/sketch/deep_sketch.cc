@@ -111,13 +111,15 @@ Result<DeepSketch> DeepSketch::Train(const storage::Catalog& db,
   std::vector<workload::QuerySpec> queries =
       generator.GenerateMany(config.num_training_queries);
 
-  // Step 3: execute against the database and the samples.
+  // Step 3: execute against the database for the true cardinalities. The
+  // sample bitmaps are evaluated when the queries are featurized (step 4),
+  // by the same featurizer estimation uses.
   workload::LabelerOptions label_opts;
   if (monitor != nullptr && monitor->on_labeling_progress) {
     label_opts.progress = monitor->on_labeling_progress;
   }
   DS_ASSIGN_OR_RETURN(auto labeled,
-                      workload::LabelQueries(db, &samples, queries,
+                      workload::LabelQueries(db, /*samples=*/nullptr, queries,
                                              label_opts));
   return TrainOnWorkload(db, config, std::move(samples), labeled, monitor);
 }
@@ -152,16 +154,10 @@ Result<DeepSketch> DeepSketch::TrainOnWorkload(
   DS_ASSIGN_OR_RETURN(
       sketch.space_,
       mscn::FeatureSpace::Create(db, sketch.tables_, config.num_samples));
-  const std::vector<workload::LabeledQuery>* train_workload = &workload;
-  std::vector<workload::LabeledQuery> stripped;
-  if (!config.use_sample_bitmaps) {
-    stripped = workload;
-    for (auto& lq : stripped) lq.bitmaps.clear();
-    train_workload = &stripped;
-  }
   DS_ASSIGN_OR_RETURN(
       mscn::Dataset dataset,
-      mscn::Dataset::Build(sketch.space_, sketch.samples_, *train_workload));
+      mscn::Dataset::Build(sketch.space_, sketch.samples_, workload,
+                           config.use_sample_bitmaps));
 
   mscn::ModelConfig model_config;
   model_config.table_dim = sketch.space_.table_dim();

@@ -82,14 +82,15 @@ struct TrainingMonitor {
 class DeepSketch final : public est::CardinalityEstimator {
  public:
   /// Runs the full creation pipeline of Figure 1a against `db`:
-  /// sample -> generate queries -> execute (labels + bitmaps) -> train.
+  /// sample -> generate queries -> execute (labels) -> featurize (bitmaps
+  /// on the samples) -> train.
   static Result<DeepSketch> Train(const storage::Catalog& db,
                                   const SketchConfig& config,
                                   const TrainingMonitor* monitor = nullptr);
 
   /// Trains from a pre-labeled workload (reusing cached labeling runs).
-  /// `samples` must be the sample set the workload's bitmaps were computed
-  /// against.
+  /// Bitmaps are evaluated against `samples` while featurizing; the
+  /// workload's own `bitmaps` are not read.
   static Result<DeepSketch> TrainOnWorkload(
       const storage::Catalog& db, const SketchConfig& config,
       est::SampleSet samples,

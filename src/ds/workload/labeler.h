@@ -20,7 +20,8 @@ struct LabeledQuery {
   QuerySpec spec;
   uint64_t cardinality = 0;
   /// bitmaps[i] covers spec.tables[i]; empty when labeling ran without
-  /// samples.
+  /// samples. Training does not read them: mscn::Dataset evaluates the
+  /// bitmaps against the sketch's samples while featurizing.
   std::vector<std::vector<uint8_t>> bitmaps;
 };
 

@@ -1,26 +1,27 @@
 // Fuzz target: featurization of any query the SQL front end accepts. For
 // every input that parses and binds against the synthetic IMDb catalog,
-// both featurization paths run; the sparse CSR path is documented to
-// reproduce the dense rows bit-for-bit, so the harness enforces
-// dense/sparse parity (same success/failure, identical row-by-row values)
-// and aborts on divergence — a libFuzzer-visible crash.
+// the library featurizer (FeaturizeSparse, the one training and estimation
+// share) runs next to the reference featurizer in tests/test_util.cc, which
+// derives its layout from the catalog alone. The harness enforces parity
+// (same success/failure, bit-identical rows with and without bitmaps) and
+// aborts on divergence — a libFuzzer-visible crash.
 
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <vector>
 
 #include "ds/datagen/imdb.h"
 #include "ds/est/sample.h"
 #include "ds/mscn/featurizer.h"
-#include "ds/nn/tensor.h"
 #include "ds/sql/binder.h"
 #include "ds/storage/catalog.h"
+#include "test_util.h"
 
 namespace {
+
+constexpr size_t kSampleSize = 64;
 
 struct Fixture {
   const ds::storage::Catalog* catalog;
@@ -32,32 +33,17 @@ Fixture* MakeFixture() {
   ds::datagen::ImdbOptions options;
   options.num_titles = 500;
   auto catalog = ds::datagen::GenerateImdb(options).value();
-  auto samples = ds::est::SampleSet::Build(*catalog, 64, 7).value();
-  auto space = ds::mscn::FeatureSpace::Create(*catalog, {}, 64).value();
+  auto samples = ds::est::SampleSet::Build(*catalog, kSampleSize, 7).value();
+  auto space =
+      ds::mscn::FeatureSpace::Create(*catalog, {}, kSampleSize).value();
   return new Fixture{catalog.release(), std::move(samples), std::move(space)};
 }
 
 [[noreturn]] void ParityFailure(const char* what, const std::string& sql) {
-  std::fprintf(stderr, "dense/sparse featurization divergence (%s) for: %s\n",
-               what, sql.c_str());
+  std::fprintf(stderr,
+               "featurizer/reference divergence (%s) for: %s\n", what,
+               sql.c_str());
   std::abort();
-}
-
-void CheckRows(const std::vector<std::vector<float>>& dense,
-               const ds::nn::SparseRows& sparse, const char* set,
-               const std::string& sql) {
-  const ds::nn::Tensor densified = sparse.ToDense();
-  if (dense.size() != static_cast<size_t>(densified.dim(0))) {
-    ParityFailure(set, sql);
-  }
-  for (size_t r = 0; r < dense.size(); ++r) {
-    if (dense[r].size() != static_cast<size_t>(densified.dim(1))) {
-      ParityFailure(set, sql);
-    }
-    for (size_t c = 0; c < dense[r].size(); ++c) {
-      if (dense[r][c] != densified.at(r, c)) ParityFailure(set, sql);
-    }
-  }
 }
 
 }  // namespace
@@ -70,19 +56,26 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   auto spec = ds::sql::ParseAndBind(*fx->catalog, sql);
   if (!spec.ok()) return 0;
 
-  auto dense = fx->space.FeaturizeWithSamples(*spec, fx->samples);
-
   static thread_local ds::mscn::FeaturizeScratch scratch;
   static thread_local ds::mscn::SparseQueryFeatures sparse;
-  auto sparse_status = fx->space.FeaturizeSparse(
-      *spec, fx->samples, /*use_bitmaps=*/true, &scratch, &sparse);
-
-  if (dense.ok() != sparse_status.ok()) ParityFailure("status", sql);
-  if (!dense.ok()) return 0;
-
-  CheckRows(dense->tables, sparse.tables, "tables", sql);
-  CheckRows(dense->joins, sparse.joins, "joins", sql);
-  CheckRows(dense->predicates, sparse.predicates, "predicates", sql);
+  for (bool use_bitmaps : {true, false}) {
+    auto want = ds::testutil::ReferenceFeaturize(
+        *fx->catalog, {}, kSampleSize, fx->samples, use_bitmaps, *spec);
+    auto status = fx->space.FeaturizeSparse(*spec, fx->samples, use_bitmaps,
+                                            &scratch, &sparse);
+    if (want.ok() != status.ok()) ParityFailure("status", sql);
+    if (!want.ok()) continue;
+    if (!ds::testutil::BitIdentical(sparse.tables.ToDense(), want->tables)) {
+      ParityFailure("tables", sql);
+    }
+    if (!ds::testutil::BitIdentical(sparse.joins.ToDense(), want->joins)) {
+      ParityFailure("joins", sql);
+    }
+    if (!ds::testutil::BitIdentical(sparse.predicates.ToDense(),
+                                    want->predicates)) {
+      ParityFailure("predicates", sql);
+    }
+  }
   return 0;
 }
 

@@ -1,5 +1,6 @@
-// Tests for the MSCN stack: featurization, dataset batching, the model
-// (including an end-to-end gradient check), and trainer convergence.
+// Tests for the MSCN stack: featurization (against the reference featurizer
+// in test_util), dataset batching, the model (including an end-to-end
+// gradient check), and trainer convergence.
 
 #include <gtest/gtest.h>
 
@@ -22,13 +23,12 @@
 namespace ds {
 namespace {
 
-using mscn::Batch;
 using mscn::Dataset;
 using mscn::FeatureSpace;
-using mscn::MakeBatch;
 using mscn::MscnModel;
 using mscn::ModelConfig;
-using mscn::QueryFeatures;
+using mscn::SparseBatch;
+using mscn::SparseQueryFeatures;
 using workload::CompareOp;
 
 class MscnTest : public ::testing::Test {
@@ -40,6 +40,50 @@ class MscnTest : public ::testing::Test {
 
   workload::QuerySpec Q(const std::string& sql) {
     return sql::ParseAndBind(*catalog_, sql).value();
+  }
+
+  // The library featurizer's rows for `spec` (bitmaps on).
+  Result<SparseQueryFeatures> Featurize(const workload::QuerySpec& spec,
+                                        const FeatureSpace& space) {
+    mscn::FeaturizeScratch scratch;
+    SparseQueryFeatures rows;
+    DS_RETURN_NOT_OK(
+        space.FeaturizeSparse(spec, samples_, true, &scratch, &rows));
+    return rows;
+  }
+  SparseQueryFeatures Featurize(const workload::QuerySpec& spec) {
+    return Featurize(spec, space_).value();
+  }
+
+  // The reference featurizer's rows for `spec` over the whole catalog.
+  Result<testutil::ReferenceFeatures> Reference(
+      const workload::QuerySpec& spec,
+      const std::vector<std::string>& tables = {}) {
+    return testutil::ReferenceFeaturize(*catalog_, tables, 8, samples_,
+                                        true, spec);
+  }
+
+  // Featurizes `spec`, checks every set against the reference bit for bit,
+  // and returns the rows densified.
+  testutil::ReferenceFeatures FeaturizeChecked(
+      const workload::QuerySpec& spec) {
+    const SparseQueryFeatures rows = Featurize(spec);
+    testutil::ReferenceFeatures dense{rows.tables.ToDense(),
+                                      rows.joins.ToDense(),
+                                      rows.predicates.ToDense()};
+    const testutil::ReferenceFeatures want = Reference(spec).value();
+    EXPECT_TRUE(testutil::BitIdentical(dense.tables, want.tables));
+    EXPECT_TRUE(testutil::BitIdentical(dense.joins, want.joins));
+    EXPECT_TRUE(testutil::BitIdentical(dense.predicates, want.predicates));
+    return dense;
+  }
+
+  SparseBatch Pack(const std::vector<SparseQueryFeatures>& queries) {
+    std::vector<const SparseQueryFeatures*> ptrs;
+    for (const auto& q : queries) ptrs.push_back(&q);
+    SparseBatch batch;
+    mscn::PackSparseBatch(ptrs, space_, &batch);
+    return batch;
   }
 
   std::unique_ptr<storage::Catalog> catalog_;
@@ -60,57 +104,59 @@ TEST_F(MscnTest, DimensionsAreConsistent) {
 TEST_F(MscnTest, FeaturizeProducesOneHotsAndBitmap) {
   auto spec = Q("SELECT COUNT(*) FROM movie m, rating r "
                 "WHERE r.movie_id = m.id AND m.year > 2004");
-  auto qf = space_.FeaturizeWithSamples(spec, samples_).value();
-  ASSERT_EQ(qf.tables.size(), 2u);
-  ASSERT_EQ(qf.joins.size(), 1u);
-  ASSERT_EQ(qf.predicates.size(), 1u);
-  // Table element: exactly one one-hot bit among the first 3 entries.
-  for (const auto& t : qf.tables) {
-    float onehot = t[0] + t[1] + t[2];
-    EXPECT_FLOAT_EQ(onehot, 1.0f);
+  const auto qf = FeaturizeChecked(spec);
+  ASSERT_EQ(qf.tables.dim(0), 2u);
+  ASSERT_EQ(qf.joins.dim(0), 1u);
+  ASSERT_EQ(qf.predicates.dim(0), 1u);
+  // Table element: exactly one one-hot bit among the first 3 entries; the
+  // bitmap slots carry the sample's qualifying pattern (all ones for the
+  // rating element, which has no predicate).
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_FLOAT_EQ(qf.tables.at(i, 0) + qf.tables.at(i, 1) +
+                        qf.tables.at(i, 2),
+                    1.0f);
+    const auto bm = samples_.Bitmap(spec.tables[i], spec.predicates).value();
+    ASSERT_EQ(bm.size(), 8u);
+    for (size_t j = 0; j < bm.size(); ++j) {
+      EXPECT_EQ(qf.tables.at(i, 3 + j), bm[j] ? 1.0f : 0.0f) << i << "," << j;
+    }
   }
-  // The movie element's bitmap has the sample's qualifying pattern; the
-  // rating element (no predicate) is all ones.
-  auto bm = samples_.Bitmap("movie", spec.predicates).value();
-  size_t movie_idx = qf.tables[0][0] > 0 || qf.tables[0][1] > 0 ||
-                             qf.tables[0][2] > 0
-                         ? 0
-                         : 1;
-  (void)movie_idx;
   // Join one-hot sums to 1.
-  float jsum = 0;
-  for (float v : qf.joins[0]) jsum += v;
-  EXPECT_FLOAT_EQ(jsum, 1.0f);
+  EXPECT_FLOAT_EQ(qf.joins.at(0, 0) + qf.joins.at(0, 1), 1.0f);
   // Predicate: one column bit + one op bit + normalized value in [0,1].
-  const auto& p = qf.predicates[0];
   float colsum = 0;
-  for (size_t i = 0; i < space_.num_columns(); ++i) colsum += p[i];
+  for (size_t i = 0; i < space_.num_columns(); ++i) {
+    colsum += qf.predicates.at(0, i);
+  }
   EXPECT_FLOAT_EQ(colsum, 1.0f);
   float opsum = 0;
-  for (size_t i = 0; i < 3; ++i) opsum += p[space_.num_columns() + i];
+  for (size_t i = 0; i < 3; ++i) {
+    opsum += qf.predicates.at(0, space_.num_columns() + i);
+  }
   EXPECT_FLOAT_EQ(opsum, 1.0f);
-  float val = p[space_.num_columns() + 3];
-  EXPECT_GE(val, 0.0f);
-  EXPECT_LE(val, 1.0f);
+  EXPECT_FLOAT_EQ(qf.predicates.at(0, space_.num_columns() + 2), 1.0f);  // >
   // year 2004 in [2000, 2009] -> (2004-2000)/9.
-  EXPECT_NEAR(val, 4.0 / 9.0, 1e-5);
+  EXPECT_NEAR(qf.predicates.at(0, space_.num_columns() + 3), 4.0 / 9.0,
+              1e-5);
 }
 
 TEST_F(MscnTest, LiteralNormalizationUsesColumnRange) {
-  auto lo = Q("SELECT COUNT(*) FROM movie WHERE year > 2000");
-  auto hi = Q("SELECT COUNT(*) FROM movie WHERE year > 2009");
-  auto qlo = space_.FeaturizeWithSamples(lo, samples_).value();
-  auto qhi = space_.FeaturizeWithSamples(hi, samples_).value();
+  auto qlo = FeaturizeChecked(Q("SELECT COUNT(*) FROM movie WHERE year > 2000"));
+  auto qhi = FeaturizeChecked(Q("SELECT COUNT(*) FROM movie WHERE year > 2009"));
   const size_t vi = space_.num_columns() + 3;
-  EXPECT_FLOAT_EQ(qlo.predicates[0][vi], 0.0f);
-  EXPECT_FLOAT_EQ(qhi.predicates[0][vi], 1.0f);
+  EXPECT_FLOAT_EQ(qlo.predicates.at(0, vi), 0.0f);
+  EXPECT_FLOAT_EQ(qhi.predicates.at(0, vi), 1.0f);
+  // String literals normalize their dictionary code ("g3" is code 2 of
+  // 0..4 in genre.name's dictionary).
+  auto qstr = FeaturizeChecked(Q("SELECT COUNT(*) FROM genre WHERE name = 'g3'"));
+  EXPECT_FLOAT_EQ(qstr.predicates.at(0, vi), 0.5f);
 }
 
 TEST_F(MscnTest, UnknownStringLiteralIsNotFound) {
   auto spec = Q("SELECT COUNT(*) FROM genre WHERE name = 'g3'");
   spec.predicates[0].literal = std::string("not-a-genre");
-  auto qf = space_.FeaturizeWithSamples(spec, samples_);
-  EXPECT_EQ(qf.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(Featurize(spec, space_).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(Reference(spec).status().code(), StatusCode::kNotFound);
 }
 
 TEST_F(MscnTest, OutOfSpaceQueryRejected) {
@@ -118,8 +164,15 @@ TEST_F(MscnTest, OutOfSpaceQueryRejected) {
       FeatureSpace::Create(*catalog_, {"movie"}, 8).value();
   auto spec = Q("SELECT COUNT(*) FROM movie m, rating r "
                 "WHERE r.movie_id = m.id");
-  auto qf = movie_only.FeaturizeWithSamples(spec, samples_);
-  EXPECT_FALSE(qf.ok());
+  EXPECT_FALSE(Featurize(spec, movie_only).ok());
+  EXPECT_FALSE(Reference(spec, {"movie"}).ok());
+  // A query inside the subset featurizes like the reference over it.
+  auto inside = Q("SELECT COUNT(*) FROM movie WHERE year < 2004");
+  const SparseQueryFeatures rows = Featurize(inside, movie_only).value();
+  const auto want = Reference(inside, {"movie"}).value();
+  EXPECT_TRUE(testutil::BitIdentical(rows.tables.ToDense(), want.tables));
+  EXPECT_TRUE(
+      testutil::BitIdentical(rows.predicates.ToDense(), want.predicates));
 }
 
 TEST_F(MscnTest, FeatureSpaceSerializationRoundTrip) {
@@ -132,36 +185,34 @@ TEST_F(MscnTest, FeatureSpaceSerializationRoundTrip) {
   EXPECT_EQ(loaded.pred_dim(), space_.pred_dim());
   // Featurization identical before/after.
   auto spec = Q("SELECT COUNT(*) FROM movie WHERE year = 2003");
-  auto a = space_.FeaturizeWithSamples(spec, samples_).value();
-  auto b = loaded.FeaturizeWithSamples(spec, samples_).value();
-  EXPECT_EQ(a.predicates, b.predicates);
-  EXPECT_EQ(a.tables, b.tables);
+  auto a = Featurize(spec, space_).value();
+  auto b = Featurize(spec, loaded).value();
+  EXPECT_TRUE(
+      testutil::BitIdentical(a.predicates.ToDense(), b.predicates.ToDense()));
+  EXPECT_TRUE(testutil::BitIdentical(a.tables.ToDense(), b.tables.ToDense()));
 }
 
 TEST_F(MscnTest, BatchPadsAndMasks) {
-  Dataset ds;
   // Query 0: 1 table, 0 joins, 0 predicates; query 1: 3 tables, 2 joins,
   // 2 predicates.
-  auto q0 = space_.FeaturizeWithSamples(Q("SELECT COUNT(*) FROM movie"),
-                                        samples_).value();
-  auto q1 = space_.FeaturizeWithSamples(
-      Q("SELECT COUNT(*) FROM movie m, rating r, genre g "
-        "WHERE r.movie_id = m.id AND m.genre_id = g.id AND m.year > 2003 "
-        "AND r.votes < 50"),
-      samples_).value();
-  ds.features = {q0, q1};
-  ds.labels = {40, 7};
-  Batch batch = MakeBatch(ds, {0, 1}, space_);
+  SparseBatch batch = Pack(
+      {Featurize(Q("SELECT COUNT(*) FROM movie")),
+       Featurize(Q("SELECT COUNT(*) FROM movie m, rating r, genre g "
+                   "WHERE r.movie_id = m.id AND m.genre_id = g.id AND "
+                   "m.year > 2003 AND r.votes < 50"))});
   EXPECT_EQ(batch.batch_size(), 2u);
-  // Table set padded to 3.
+  // Table set padded to 3: B*S rows, padding rows empty.
   EXPECT_EQ(batch.table_mask.dim(1), 3u);
+  ASSERT_EQ(batch.tables.rows(), 6u);
   EXPECT_FLOAT_EQ(batch.table_mask.at(0, 0), 1.0f);
   EXPECT_FLOAT_EQ(batch.table_mask.at(0, 1), 0.0f);
   EXPECT_FLOAT_EQ(batch.table_mask.at(1, 2), 1.0f);
-  // Join set: query 0 has no joins -> all-zero mask row.
+  EXPECT_EQ(batch.tables.row_offsets[1], batch.tables.row_offsets[3]);
+  // Join set: query 0 has no joins -> all-zero mask row, empty rows.
   EXPECT_FLOAT_EQ(batch.join_mask.at(0, 0), 0.0f);
   EXPECT_FLOAT_EQ(batch.join_mask.at(1, 0), 1.0f);
-  EXPECT_EQ(batch.labels[1], 7);
+  EXPECT_EQ(batch.joins.rows(), 4u);
+  EXPECT_EQ(batch.joins.row_offsets[2], 0u);
 }
 
 TEST_F(MscnTest, ModelForwardShapeAndRange) {
@@ -174,14 +225,10 @@ TEST_F(MscnTest, ModelForwardShapeAndRange) {
   util::Pcg32 rng(1);
   model.Initialize(&rng);
 
-  Dataset ds;
-  ds.features.push_back(space_.FeaturizeWithSamples(
-      Q("SELECT COUNT(*) FROM movie WHERE year = 2003"), samples_).value());
-  ds.features.push_back(space_.FeaturizeWithSamples(
-      Q("SELECT COUNT(*) FROM movie m, rating r WHERE r.movie_id = m.id"),
-      samples_).value());
-  ds.labels = {3, 40};
-  Batch batch = MakeBatch(ds, {0, 1}, space_);
+  SparseBatch batch = Pack(
+      {Featurize(Q("SELECT COUNT(*) FROM movie WHERE year = 2003")),
+       Featurize(Q("SELECT COUNT(*) FROM movie m, rating r "
+                   "WHERE r.movie_id = m.id"))});
   nn::Tensor y = model.Forward(batch);
   ASSERT_EQ(y.dim(0), 2u);
   ASSERT_EQ(y.dim(1), 1u);
@@ -201,26 +248,13 @@ TEST_F(MscnTest, ModelInferMatchesForward) {
   util::Pcg32 rng(7);
   model.Initialize(&rng);
 
-  const workload::QuerySpec specs[] = {
-      Q("SELECT COUNT(*) FROM movie WHERE year = 2003"),
-      Q("SELECT COUNT(*) FROM movie m, rating r WHERE r.movie_id = m.id")};
-  Dataset ds;
-  mscn::FeaturizeScratch scratch;
-  mscn::SparseQueryFeatures sparse[2];
-  for (size_t i = 0; i < 2; ++i) {
-    ds.features.push_back(
-        space_.FeaturizeWithSamples(specs[i], samples_).value());
-    ASSERT_TRUE(space_.FeaturizeSparse(specs[i], samples_, /*use_bitmaps=*/true,
-                                       &scratch, &sparse[i])
-                    .ok());
-  }
-  ds.labels = {3, 40};
-  Batch batch = MakeBatch(ds, {0, 1}, space_);
+  SparseBatch batch = Pack(
+      {Featurize(Q("SELECT COUNT(*) FROM movie WHERE year = 2003")),
+       Featurize(Q("SELECT COUNT(*) FROM movie m, rating r "
+                   "WHERE r.movie_id = m.id"))});
   nn::Tensor trained = model.Forward(batch);
-  mscn::SparseBatch sbatch;
-  mscn::PackSparseBatch({&sparse[0], &sparse[1]}, space_, &sbatch);
   nn::Workspace ws;
-  const nn::Tensor& inferred = *model.InferSparse(sbatch, &ws);
+  const nn::Tensor& inferred = *model.InferSparse(batch, &ws);
   ASSERT_EQ(inferred.size(), trained.size());
   for (size_t i = 0; i < trained.size(); ++i) {
     EXPECT_FLOAT_EQ(inferred.at(i), trained.at(i)) << i;
@@ -237,15 +271,12 @@ TEST_F(MscnTest, ModelEndToEndGradientCheck) {
   util::Pcg32 rng(2);
   model.Initialize(&rng);
 
-  Dataset ds;
-  ds.features.push_back(space_.FeaturizeWithSamples(
-      Q("SELECT COUNT(*) FROM movie m, rating r, genre g "
-        "WHERE r.movie_id = m.id AND m.genre_id = g.id AND m.year > 2003"),
-      samples_).value());
-  ds.features.push_back(space_.FeaturizeWithSamples(
-      Q("SELECT COUNT(*) FROM genre"), samples_).value());
-  ds.labels = {10, 5};
-  Batch batch = MakeBatch(ds, {0, 1}, space_);
+  SparseBatch batch = Pack(
+      {Featurize(Q("SELECT COUNT(*) FROM movie m, rating r, genre g "
+                   "WHERE r.movie_id = m.id AND m.genre_id = g.id AND "
+                   "m.year > 2003")),
+       Featurize(Q("SELECT COUNT(*) FROM genre"))});
+  const std::vector<double> labels = {10, 5};
 
   // MSE is used for the finite-difference check because the q-error loss
   // has a kink at est == truth that breaks central differences; the q-error
@@ -255,13 +286,13 @@ TEST_F(MscnTest, ModelEndToEndGradientCheck) {
   auto loss_fn = [&]() {
     nn::Tensor y = model.Forward(batch);
     nn::Tensor dy(y.shape());
-    return nn::MseLoss(y, batch.labels, norm, &dy);
+    return nn::MseLoss(y, labels, norm, &dy);
   };
   // Analytic gradients.
   {
     nn::Tensor y = model.Forward(batch);
     nn::Tensor dy(y.shape());
-    nn::MseLoss(y, batch.labels, norm, &dy);
+    nn::MseLoss(y, labels, norm, &dy);
     model.Backward(dy);
   }
   // Check a subset of parameters end to end (full sweep is slow).
@@ -297,11 +328,8 @@ TEST_F(MscnTest, ModelSerializationRoundTrip) {
   auto loaded = MscnModel::Read(&r);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
-  Dataset ds;
-  ds.features.push_back(space_.FeaturizeWithSamples(
-      Q("SELECT COUNT(*) FROM movie WHERE year < 2005"), samples_).value());
-  ds.labels = {20};
-  Batch batch = MakeBatch(ds, {0}, space_);
+  SparseBatch batch =
+      Pack({Featurize(Q("SELECT COUNT(*) FROM movie WHERE year < 2005"))});
   EXPECT_FLOAT_EQ(model.Forward(batch).at(0), loaded->Forward(batch).at(0));
 }
 
@@ -314,9 +342,10 @@ TEST_F(MscnTest, TrainerLearnsTinyWorkload) {
   gopts.min_predicates = 0;
   auto gen = workload::QueryGenerator::Create(catalog_.get(), gopts).value();
   auto labeled =
-      workload::LabelQueries(*catalog_, &samples_, gen.GenerateMany(300))
+      workload::LabelQueries(*catalog_, nullptr, gen.GenerateMany(300))
           .value();
-  Dataset ds = Dataset::Build(space_, samples_, labeled).value();
+  Dataset ds =
+      Dataset::Build(space_, samples_, labeled, /*use_bitmaps=*/true).value();
 
   ModelConfig config;
   config.table_dim = space_.table_dim();
@@ -406,7 +435,7 @@ TEST_F(MscnTest, TrainerRejectsBadInputs) {
   mscn::TrainerOptions zero;
   zero.epochs = 0;
   Dataset one;
-  one.features.push_back(QueryFeatures{});
+  one.features.push_back(SparseQueryFeatures{});
   one.labels.push_back(1);
   EXPECT_FALSE(mscn::Trainer(zero).Train(&model, one, space_).ok());
 }

@@ -1,7 +1,8 @@
 // Tests for the zero-allocation kernel layer: bit-for-bit parity of the
-// Into/fused/sparse kernels with the tensor.h reference ops, runtime
-// kernel-tier dispatch, workspace reuse, sparse
-// featurization parity, inference parity with the training Forward,
+// Into/fused/sparse kernels with the tensor.h reference ops and of CSR-fed
+// layers with dense ones, runtime kernel-tier dispatch, workspace reuse,
+// featurization parity with the reference featurizer in test_util,
+// inference parity with the training Forward,
 // batched-vs-single estimation, the steady-state zero-allocation guarantee,
 // and data-parallel training.
 
@@ -240,6 +241,97 @@ TEST(KernelTest, SparseLinearMatchesDenseBitForBit) {
   }
 }
 
+// Featurized-row shapes: padded batches (every third row empty), all-ones
+// rows as wide as a 1000-sample table element, and random sparsity.
+std::vector<Tensor> FeatureLikeInputs(util::Pcg32* rng) {
+  std::vector<Tensor> out;
+  Tensor padded = RandomTensor({9, 40}, rng, 0.7);
+  for (size_t i = 0; i < padded.dim(0); i += 3) {
+    for (size_t j = 0; j < padded.dim(1); ++j) padded.at(i, j) = 0.0f;
+  }
+  out.push_back(std::move(padded));
+  Tensor ones({4, 1003});
+  for (float& v : ones.vec()) v = 1.0f;
+  out.push_back(std::move(ones));
+  for (double zf : {0.5, 0.9, 0.99}) {
+    out.push_back(RandomTensor({1 + rng->Bounded(20), 1003}, rng, zf));
+  }
+  return out;
+}
+
+TEST(KernelTest, SparseTransposedAAccumulateMatchesDenseBitForBit) {
+  const nn::KernelTier entry = nn::ActiveKernelTier();
+  for (nn::KernelTier t : nn::AvailableKernelTiers()) {
+    SCOPED_TRACE(nn::KernelTierName(t));
+    ASSERT_TRUE(nn::SetKernelTier(t));
+    util::Pcg32 rng(19);
+    for (const Tensor& x : FeatureLikeInputs(&rng)) {
+      // m = 37 covers the 16-wide, 8-wide and scalar tails of AxpyRow.
+      for (size_t m : {16u, 37u}) {
+        const SparseRows xs = MakeSparse(x);
+        Tensor dy = RandomTensor({x.dim(0), m}, &rng);
+        Tensor want = RandomTensor({x.dim(1), m}, &rng);
+        Tensor got = want;
+        // Twice: the second call accumulates into non-zero gradients.
+        for (int step = 0; step < 2; ++step) {
+          MatMulTransposedAAccumulate(xs.ToDense(), dy, &want);
+          nn::SparseMatMulTransposedAAccumulate(xs, dy, &got);
+        }
+        EXPECT_TRUE(testutil::BitIdentical(want, got)) << "m=" << m;
+      }
+    }
+  }
+  ASSERT_TRUE(nn::SetKernelTier(entry));
+}
+
+TEST(KernelTest, MlpFedCsrRowsMatchesDenseForwardAndGradients) {
+  const nn::KernelTier entry = nn::ActiveKernelTier();
+  for (nn::KernelTier t : nn::AvailableKernelTiers()) {
+    SCOPED_TRACE(nn::KernelTierName(t));
+    ASSERT_TRUE(nn::SetKernelTier(t));
+    util::Pcg32 rng(20);
+    for (const Tensor& x : FeatureLikeInputs(&rng)) {
+      const std::vector<size_t> sizes = {x.dim(1), 64, 64};
+      nn::Mlp dense("m", sizes, /*final_activation=*/true);
+      nn::Mlp sparse("m", sizes, /*final_activation=*/true);
+      util::Pcg32 init_a = rng.Fork(), init_b = init_a;
+      dense.Initialize(&init_a);
+      sparse.Initialize(&init_b);
+      const SparseRows xs = MakeSparse(x);
+      // Two steps, so accumulation into non-zero gradients is covered too.
+      for (int step = 0; step < 2; ++step) {
+        const Tensor want = dense.Forward(xs.ToDense());
+        const Tensor got = sparse.ForwardSparse(xs);
+        ASSERT_TRUE(testutil::BitIdentical(want, got));
+        const Tensor dy = RandomTensor(want.shape(), &rng);
+        dense.BackwardParams(dy);
+        sparse.BackwardParams(dy);
+      }
+      const auto want = dense.Parameters();
+      const auto got = sparse.Parameters();
+      ASSERT_EQ(want.size(), got.size());
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_TRUE(testutil::BitIdentical(want[i]->grad, got[i]->grad))
+            << want[i]->name;
+      }
+    }
+  }
+  ASSERT_TRUE(nn::SetKernelTier(entry));
+}
+
+TEST(KernelTest, CsrFedLayerHasNoInputGradient) {
+  util::Pcg32 rng(21);
+  const Tensor x = RandomTensor({3, 10}, &rng, 0.6);
+  nn::Mlp mlp("m", {10, 4, 2}, /*final_activation=*/true);
+  mlp.Initialize(&rng);
+  const Tensor y = mlp.ForwardSparse(MakeSparse(x));
+  util::ScopedContractPolicy policy(util::ContractPolicy::kThrow);
+  EXPECT_THROW(mlp.Backward(y), util::ContractViolationError);
+  // A dense Forward re-arms the full Backward.
+  mlp.Forward(x);
+  EXPECT_NO_THROW(mlp.Backward(y));
+}
+
 TEST(KernelTest, AppendRowFromCopiesRows) {
   util::Pcg32 rng(13);
   Tensor dense = RandomTensor({4, 9}, &rng, 0.6);
@@ -357,50 +449,36 @@ class KernelPipelineTest : public ::testing::Test {
 };
 
 TEST_F(KernelPipelineTest, SparseFeaturizationMatchesDense) {
+  // The dense rows come from the reference featurizer in test_util, which
+  // derives the layout from the catalog rather than from FeatureSpace.
   mscn::FeaturizeScratch scratch;
   mscn::SparseQueryFeatures sparse;
   for (const auto& spec : TestSpecs()) {
     for (bool use_bitmaps : {true, false}) {
+      SCOPED_TRACE(spec.ToSql() + (use_bitmaps ? " with bitmaps" : ""));
       ASSERT_TRUE(space_
                       .FeaturizeSparse(spec, samples_, use_bitmaps, &scratch,
                                        &sparse)
                       .ok());
-      auto dense =
-          use_bitmaps
-              ? space_.FeaturizeWithSamples(spec, samples_).value()
-              : space_
-                    .Featurize(
-                        mscn::ResolveStringLiterals(spec, samples_).value(),
-                        {})
-                    .value();
-      ASSERT_EQ(sparse.tables.rows(), dense.tables.size());
-      ASSERT_EQ(sparse.joins.rows(), dense.joins.size());
-      ASSERT_EQ(sparse.predicates.rows(), dense.predicates.size());
-      Tensor td = sparse.tables.ToDense();
-      for (size_t i = 0; i < dense.tables.size(); ++i) {
-        for (size_t j = 0; j < space_.table_dim(); ++j) {
-          ASSERT_EQ(td.at(i, j), dense.tables[i][j]);
-        }
-      }
-      Tensor pd = sparse.predicates.ToDense();
-      for (size_t i = 0; i < dense.predicates.size(); ++i) {
-        for (size_t j = 0; j < space_.pred_dim(); ++j) {
-          ASSERT_EQ(pd.at(i, j), dense.predicates[i][j]);
-        }
-      }
-      Tensor jd = sparse.joins.ToDense();
-      for (size_t i = 0; i < dense.joins.size(); ++i) {
-        for (size_t j = 0; j < space_.join_dim(); ++j) {
-          ASSERT_EQ(jd.at(i, j), dense.joins[i][j]);
-        }
-      }
-      // Strictly increasing columns per row (the bit-exactness invariant).
+      const testutil::ReferenceFeatures dense =
+          testutil::ReferenceFeaturize(*catalog_, {}, 8, samples_,
+                                       use_bitmaps, spec)
+              .value();
+      EXPECT_TRUE(testutil::BitIdentical(sparse.tables.ToDense(), dense.tables));
+      EXPECT_TRUE(testutil::BitIdentical(sparse.joins.ToDense(), dense.joins));
+      EXPECT_TRUE(
+          testutil::BitIdentical(sparse.predicates.ToDense(), dense.predicates));
+      // Strictly increasing columns and no stored zeros per row (the
+      // bit-exactness invariants).
       for (const nn::SparseRows* s :
            {&sparse.tables, &sparse.joins, &sparse.predicates}) {
         for (size_t r = 0; r < s->rows(); ++r) {
-          for (uint32_t e = s->row_offsets[r] + 1; e < s->row_offsets[r + 1];
+          for (uint32_t e = s->row_offsets[r]; e < s->row_offsets[r + 1];
                ++e) {
-            ASSERT_LT(s->cols[e - 1], s->cols[e]);
+            ASSERT_NE(s->vals[e], 0.0f);
+            if (e > s->row_offsets[r]) {
+              ASSERT_LT(s->cols[e - 1], s->cols[e]);
+            }
           }
         }
       }
@@ -418,29 +496,22 @@ TEST_F(KernelPipelineTest, ModelInferSparseMatchesInfer) {
   util::Pcg32 rng(17);
   model.Initialize(&rng);
 
-  // Featurize the specs both ways and batch them both ways.
-  mscn::Dataset ds;
   mscn::FeaturizeScratch scratch;
   std::vector<mscn::SparseQueryFeatures> sparse(TestSpecs().size());
   std::vector<const mscn::SparseQueryFeatures*> ptrs;
   size_t n = 0;
   for (const auto& spec : TestSpecs()) {
-    ds.features.push_back(space_.FeaturizeWithSamples(spec, samples_).value());
-    ds.labels.push_back(1);
     ASSERT_TRUE(
         space_.FeaturizeSparse(spec, samples_, true, &scratch, &sparse[n])
             .ok());
     ptrs.push_back(&sparse[n]);
     ++n;
   }
-  std::vector<size_t> indices(n);
-  for (size_t i = 0; i < n; ++i) indices[i] = i;
-  mscn::Batch batch = mscn::MakeBatch(ds, indices, space_);
   mscn::SparseBatch sbatch;
   mscn::PackSparseBatch(ptrs, space_, &sbatch);
 
-  // The reference is the training Forward on the dense MakeBatch input.
-  Tensor want = model.Forward(batch);
+  // The reference is the training Forward on the same batch.
+  Tensor want = model.Forward(sbatch);
   Workspace ws;
   const Tensor* got = model.InferSparse(sbatch, &ws);
   ExpectBitIdentical(want, *got);
@@ -555,10 +626,12 @@ class ParallelTrainTest : public ::testing::Test {
         "SELECT COUNT(*) FROM rating",
         "SELECT COUNT(*) FROM genre WHERE id > 2",
     };
+    mscn::FeaturizeScratch scratch;
     for (const char* sql : sqls) {
       auto spec = sql::ParseAndBind(*catalog_, sql).value();
-      dataset_.features.push_back(
-          space_.FeaturizeWithSamples(spec, samples_).value());
+      dataset_.features.emplace_back();
+      DS_CHECK_OK(space_.FeaturizeSparse(spec, samples_, true, &scratch,
+                                         &dataset_.features.back()));
       dataset_.labels.push_back(static_cast<double>(
           std::max<uint64_t>(testutil::BruteForceCount(*catalog_, spec), 1)));
     }

@@ -8,6 +8,7 @@
 #include <iterator>
 
 #include "ds/est/truth.h"
+#include "ds/nn/kernels.h"
 #include "ds/sketch/deep_sketch.h"
 #include "ds/sketch/manager.h"
 #include "ds/sketch/template.h"
@@ -348,6 +349,81 @@ TEST(SketchManagerTest, CreateListGetDrop) {
   EXPECT_TRUE(manager.DropSketch("tiny").ok());
   EXPECT_FALSE(manager.GetSketch("tiny").ok());
   std::filesystem::remove_all(dir);
+}
+
+// ---- Training digests ------------------------------------------------------------
+
+// FNV-1a 64 over a byte buffer.
+uint64_t Fnv1a(const std::vector<uint8_t>& bytes) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// golden_test pins the estimates of pre-trained fixtures, so only this test
+// catches a change to training itself (featurization, batching, gradients,
+// the optimizer). It trains small sketches of the tiny catalog with fixed
+// seeds and checks a digest of their Save() bytes against constants
+// recorded before training moved from dense feature batches to the CSR rows
+// the serving path featurizes. DotRow reassociates its reduction per tier,
+// so every tier has its own digests; the generic tier is always checked.
+TEST(TrainingDigestTest, SavedBytesMatchRecordedDigests) {
+  struct Variant {
+    size_t threads;
+    bool bitmaps;
+    mscn::LossKind loss;
+    uint64_t generic_digest;
+    uint64_t avx2_digest;
+  };
+  const Variant variants[] = {
+      {1, true, mscn::LossKind::kQError, 0x1057b85b44fa71f4ULL,
+       0x31f03a57daa2af25ULL},
+      {2, true, mscn::LossKind::kQError, 0xf2cd88699166d8fcULL,
+       0x8cdbc9173559b5d1ULL},
+      {1, false, mscn::LossKind::kQError, 0x7d56807ef2a03e7bULL,
+       0xde17d7760942c879ULL},
+      {2, false, mscn::LossKind::kQError, 0x7bdf8f2186a8f10eULL,
+       0xb5efee6628f6a26dULL},
+      {3, true, mscn::LossKind::kMse, 0x91d5d2871504ef0cULL,
+       0x7619069d3dc53b39ULL},
+  };
+  auto catalog = testutil::MakeTinyCatalog();
+  const nn::KernelTier restore = nn::ActiveKernelTier();
+  for (nn::KernelTier tier : nn::AvailableKernelTiers()) {
+    ASSERT_TRUE(nn::SetKernelTier(tier));
+    for (const Variant& v : variants) {
+      SCOPED_TRACE(std::string(nn::KernelTierName(tier)) +
+                   " threads=" + std::to_string(v.threads) +
+                   " bitmaps=" + std::to_string(v.bitmaps) +
+                   " loss=" + std::to_string(static_cast<int>(v.loss)));
+      SketchConfig config;
+      config.num_samples = 16;
+      config.num_training_queries = 300;
+      config.num_epochs = 4;
+      config.hidden_units = 16;
+      config.batch_size = 32;
+      config.max_tables_per_query = 3;
+      config.use_sample_bitmaps = v.bitmaps;
+      config.training_threads = v.threads;
+      config.loss = v.loss;
+      config.seed = 17;
+      auto trained = DeepSketch::Train(*catalog, config);
+      ASSERT_TRUE(trained.ok()) << trained.status().ToString();
+      util::BinaryWriter w;
+      trained->Write(&w);
+      char digest[32];
+      std::snprintf(digest, sizeof(digest), "0x%016llxULL",
+                    static_cast<unsigned long long>(Fnv1a(w.buffer())));
+      const uint64_t want = tier == nn::KernelTier::kGeneric
+                                ? v.generic_digest
+                                : v.avx2_digest;
+      EXPECT_EQ(Fnv1a(w.buffer()), want) << "digest " << digest;
+    }
+  }
+  ASSERT_TRUE(nn::SetKernelTier(restore));
 }
 
 }  // namespace

@@ -1,5 +1,8 @@
 #include "test_util.h"
 
+#include <algorithm>
+#include <cstring>
+
 #include "ds/exec/predicate.h"
 #include "ds/util/logging.h"
 
@@ -151,6 +154,121 @@ uint64_t BruteForceCount(const Catalog& catalog,
     if (d == row.size()) break;
   }
   return count;
+}
+
+namespace {
+
+std::string CanonicalJoinKey(std::string a, std::string b) {
+  if (b < a) std::swap(a, b);
+  return a + "=" + b;
+}
+
+// Position of `key` in `keys`, or keys.size().
+size_t IndexOf(const std::vector<std::string>& keys, const std::string& key) {
+  return static_cast<size_t>(std::find(keys.begin(), keys.end(), key) -
+                             keys.begin());
+}
+
+}  // namespace
+
+Result<ReferenceFeatures> ReferenceFeaturize(
+    const Catalog& catalog, const std::vector<std::string>& tables,
+    size_t sample_size, const est::SampleSet& samples, bool use_bitmaps,
+    const workload::QuerySpec& spec) {
+  // Layout, from the catalog alone.
+  const std::vector<std::string> names =
+      tables.empty() ? catalog.table_names() : tables;
+  std::vector<std::string> columns;
+  std::vector<double> lo, hi;
+  for (const auto& name : names) {
+    DS_ASSIGN_OR_RETURN(const Table* t, catalog.GetTable(name));
+    for (size_t c = 0; c < t->num_columns(); ++c) {
+      columns.push_back(name + "." + t->column(c).name());
+      lo.push_back(t->column(c).MinNumeric());
+      hi.push_back(t->column(c).MaxNumeric());
+    }
+  }
+  std::vector<std::string> joins;
+  for (const auto& fk : catalog.foreign_keys()) {
+    if (IndexOf(names, fk.fk_table) == names.size() ||
+        IndexOf(names, fk.pk_table) == names.size()) {
+      continue;
+    }
+    const std::string key = CanonicalJoinKey(fk.fk_table + "." + fk.fk_column,
+                                             fk.pk_table + "." + fk.pk_column);
+    if (IndexOf(joins, key) == joins.size()) joins.push_back(key);
+  }
+
+  // String literals become dictionary codes.
+  workload::QuerySpec q = spec;
+  for (auto& pred : q.predicates) {
+    const auto* text = std::get_if<std::string>(&pred.literal);
+    if (text == nullptr) continue;
+    DS_ASSIGN_OR_RETURN(const Table* t, catalog.GetTable(pred.table));
+    DS_ASSIGN_OR_RETURN(const Column* col, t->GetColumn(pred.column));
+    if (col->dict() == nullptr) {
+      return Status::InvalidArgument("string literal on a numeric column");
+    }
+    DS_ASSIGN_OR_RETURN(int64_t code, col->dict()->Lookup(*text));
+    pred.literal = code;
+  }
+
+  ReferenceFeatures out{
+      nn::Tensor({q.tables.size(), names.size() + sample_size}),
+      nn::Tensor({q.joins.size(), std::max<size_t>(joins.size(), 1)}),
+      nn::Tensor({q.predicates.size(), columns.size() + 3 + 1})};
+  for (size_t i = 0; i < q.tables.size(); ++i) {
+    const size_t t = IndexOf(names, q.tables[i]);
+    if (t == names.size()) return Status::InvalidArgument("table outside");
+    out.tables.at(i, t) = 1.0f;
+    if (!use_bitmaps) continue;
+    DS_ASSIGN_OR_RETURN(std::vector<uint8_t> bitmap,
+                        samples.Bitmap(q.tables[i], q.predicates));
+    for (size_t j = 0; j < std::min(bitmap.size(), sample_size); ++j) {
+      if (bitmap[j] != 0) out.tables.at(i, names.size() + j) = 1.0f;
+    }
+  }
+  for (size_t i = 0; i < q.joins.size(); ++i) {
+    const auto& e = q.joins[i];
+    const size_t j =
+        IndexOf(joins, CanonicalJoinKey(e.left_table + "." + e.left_column,
+                                        e.right_table + "." + e.right_column));
+    if (j == joins.size()) return Status::InvalidArgument("join outside");
+    out.joins.at(i, j) = 1.0f;
+  }
+  for (size_t i = 0; i < q.predicates.size(); ++i) {
+    const auto& p = q.predicates[i];
+    const size_t c = IndexOf(columns, p.table + "." + p.column);
+    if (c == columns.size()) return Status::InvalidArgument("column outside");
+    out.predicates.at(i, c) = 1.0f;
+    size_t op = 0;
+    switch (p.op) {
+      case workload::CompareOp::kEq:
+        op = 0;
+        break;
+      case workload::CompareOp::kLt:
+        op = 1;
+        break;
+      case workload::CompareOp::kGt:
+        op = 2;
+        break;
+    }
+    out.predicates.at(i, columns.size() + op) = 1.0f;
+    const double v = std::holds_alternative<int64_t>(p.literal)
+                         ? static_cast<double>(std::get<int64_t>(p.literal))
+                         : std::get<double>(p.literal);
+    const double norm =
+        hi[c] > lo[c] ? std::clamp((v - lo[c]) / (hi[c] - lo[c]), 0.0, 1.0)
+                      : 0.5;
+    out.predicates.at(i, columns.size() + 3) = static_cast<float>(norm);
+  }
+  return out;
+}
+
+bool BitIdentical(const nn::Tensor& a, const nn::Tensor& b) {
+  return a.shape() == b.shape() &&
+         (a.size() == 0 ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
 }
 
 }  // namespace ds::testutil

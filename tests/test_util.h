@@ -1,13 +1,17 @@
 // Shared fixtures for deepsketch tests: a tiny hand-built catalog with known
-// contents, and a brute-force COUNT(*) reference evaluator used to verify
-// the hash-join executor property-style.
+// contents, a brute-force COUNT(*) reference evaluator used to verify the
+// hash-join executor property-style, and a dense reference featurizer used
+// to verify the MSCN featurizer. Needs no gtest (the fuzz targets link it).
 
 #ifndef DS_TESTS_TEST_UTIL_H_
 #define DS_TESTS_TEST_UTIL_H_
 
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "ds/est/sample.h"
+#include "ds/nn/tensor.h"
 #include "ds/storage/catalog.h"
 #include "ds/workload/query_spec.h"
 
@@ -29,6 +33,32 @@ std::unique_ptr<storage::Catalog> MakeTinyCatalog();
 /// must already be validated.
 uint64_t BruteForceCount(const storage::Catalog& catalog,
                          const workload::QuerySpec& spec);
+
+/// One query's feature sets as dense [elements, width] matrices.
+struct ReferenceFeatures {
+  nn::Tensor tables;
+  nn::Tensor joins;
+  nn::Tensor predicates;
+};
+
+/// Reference MSCN featurization (paper §2), the oracle for
+/// mscn::FeatureSpace::FeaturizeSparse. It derives the layout from the
+/// catalog, not from FeatureSpace: the tables of `tables` (every catalog
+/// table when empty) in order; then each one's columns in catalog order,
+/// normalized by MinNumeric/MaxNumeric; and the FK edges among those tables
+/// in catalog order, deduplicated on the canonical "a.x=b.y" key (sides
+/// sorted). Rows are [table one-hot | `sample_size` bitmap slots],
+/// [join one-hot] (at least one slot) and [column one-hot | =,<,> one-hot |
+/// literal]. String literals resolve through the catalog's dictionaries;
+/// bitmaps come from SampleSet::Bitmap when `use_bitmaps`. Fails on a
+/// table, join or column outside the layout and on unresolvable literals.
+Result<ReferenceFeatures> ReferenceFeaturize(
+    const storage::Catalog& catalog, const std::vector<std::string>& tables,
+    size_t sample_size, const est::SampleSet& samples, bool use_bitmaps,
+    const workload::QuerySpec& spec);
+
+/// Same shape and the same bits (memcmp, so -0.0 differs from 0.0).
+bool BitIdentical(const nn::Tensor& a, const nn::Tensor& b);
 
 }  // namespace ds::testutil
 

@@ -3,9 +3,10 @@
 //   dsctl gen <imdb|tpch> <out-dir> [titles=N] [customers=N] [seed=N]
 //       Generate a synthetic dataset and export every table as CSV.
 //
-//   dsctl train <imdb|tpch> <sketch-file> [tables=t1,t2,...] [queries=N]
-//               [epochs=N] [samples=N] [hidden=N] [seed=N] [threads=N]
-//               [log=curve.csv] [verbose=0|1]
+//   dsctl train <imdb|tpch> <sketch-file> [titles=N] [customers=N]
+//               [tables=t1,t2,...] [queries=N] [epochs=N] [samples=N]
+//               [hidden=N] [seed=N] [threads=N] [log=curve.csv]
+//               [verbose=0|1]
 //       Generate the dataset in memory, train a Deep Sketch, persist it.
 //       Prints one machine-parseable key=value record per epoch; verbose=1
 //       adds the human-readable progress line.
@@ -73,6 +74,9 @@
 // Generation is deterministic per seed, so a sketch trained via `dsctl
 // train imdb ... seed=42` answers queries about exactly the dataset that
 // `dsctl gen imdb ... seed=42` exports.
+//
+// Every subcommand accepts only the key=value flags listed for it: any
+// other argument prints the subcommand's usage line and exits 2.
 
 #include <atomic>
 #include <chrono>
@@ -122,16 +126,55 @@ struct Flags {
   }
 };
 
-Flags ParseFlags(int argc, char** argv, int first) {
-  Flags flags;
-  for (int i = first; i < argc; ++i) {
-    std::string arg(argv[i]);
-    auto eq = arg.find('=');
-    if (eq != std::string::npos) {
-      flags.values[arg.substr(0, eq)] = arg.substr(eq + 1);
+/// One subcommand's command line: its positional arguments and the flags
+/// it reads, each written "key=HINT". The flag list is both the usage line
+/// and the set of keys ParseFlags accepts, so the two cannot drift apart.
+struct Usage {
+  const char* command;  // e.g. "train <imdb|tpch> <sketch-file>"
+  std::vector<std::string_view> flags;
+
+  bool Knows(std::string_view key) const {
+    for (std::string_view f : flags) {
+      if (f.substr(0, f.find('=')) == key) return true;
     }
+    return false;
   }
-  return flags;
+
+  /// Prints the usage line to stderr; returns the usage exit code.
+  int Print() const {
+    std::string line = std::string("usage: dsctl ") + command;
+    for (std::string_view f : flags) {
+      line += " [";
+      line += f;
+      line += "]";
+    }
+    std::fprintf(stderr, "%s\n", line.c_str());
+    return 2;
+  }
+};
+
+/// Reports an argument `usage` does not accept; returns the usage exit code.
+int RejectArgument(const std::string& arg, const Usage& usage) {
+  std::fprintf(stderr, "dsctl: unknown argument '%s'\n", arg.c_str());
+  return usage.Print();
+}
+
+/// Parses the key=value arguments from argv[first] on into `flags`. An
+/// argument that is not key=value, or whose key the command does not read,
+/// prints the usage line and returns false: a misspelled flag fails the run
+/// instead of silently leaving its default in place.
+bool ParseFlags(int argc, char** argv, int first, const Usage& usage,
+                Flags* flags) {
+  for (int i = first; i < argc; ++i) {
+    const std::string arg(argv[i]);
+    const auto eq = arg.find('=');
+    if (eq == std::string::npos || !usage.Knows(arg.substr(0, eq))) {
+      RejectArgument(arg, usage);
+      return false;
+    }
+    flags->values[arg.substr(0, eq)] = arg.substr(eq + 1);
+  }
+  return true;
 }
 
 Result<std::unique_ptr<storage::Catalog>> MakeDataset(
@@ -159,11 +202,11 @@ int Fail(const Status& status) {
 }
 
 int CmdGen(int argc, char** argv) {
-  if (argc < 4) {
-    std::fprintf(stderr, "usage: dsctl gen <imdb|tpch> <out-dir> [...]\n");
-    return 2;
-  }
-  Flags flags = ParseFlags(argc, argv, 4);
+  const Usage usage{"gen <imdb|tpch> <out-dir>",
+                    {"titles=N", "customers=N", "seed=N"}};
+  Flags flags;
+  if (argc < 4) return usage.Print();
+  if (!ParseFlags(argc, argv, 4, usage, &flags)) return 2;
   auto catalog = MakeDataset(argv[2], flags);
   if (!catalog.ok()) return Fail(catalog.status());
   const std::string dir = argv[3];
@@ -181,12 +224,13 @@ int CmdGen(int argc, char** argv) {
 }
 
 int CmdTrain(int argc, char** argv) {
-  if (argc < 4) {
-    std::fprintf(stderr,
-                 "usage: dsctl train <imdb|tpch> <sketch-file> [...]\n");
-    return 2;
-  }
-  Flags flags = ParseFlags(argc, argv, 4);
+  const Usage usage{"train <imdb|tpch> <sketch-file>",
+                    {"titles=N", "customers=N", "tables=t1,t2,...",
+                     "queries=N", "epochs=N", "samples=N", "hidden=N",
+                     "seed=N", "threads=N", "log=FILE", "verbose=0|1"}};
+  Flags flags;
+  if (argc < 4) return usage.Print();
+  if (!ParseFlags(argc, argv, 4, usage, &flags)) return 2;
   auto catalog = MakeDataset(argv[2], flags);
   if (!catalog.ok()) return Fail(catalog.status());
 
@@ -270,12 +314,11 @@ int CmdEstimate(int argc, char** argv) {
 }
 
 int CmdTemplate(int argc, char** argv) {
-  if (argc < 4) {
-    std::fprintf(stderr,
-                 "usage: dsctl template <sketch-file> <SQL-with-?> [...]\n");
-    return 2;
-  }
-  Flags flags = ParseFlags(argc, argv, 4);
+  const Usage usage{"template <sketch-file> <SQL-with-?>",
+                    {"buckets=N", "max=N"}};
+  Flags flags;
+  if (argc < 4) return usage.Print();
+  if (!ParseFlags(argc, argv, 4, usage, &flags)) return 2;
   auto sketch = sketch::DeepSketch::Load(argv[2]);
   if (!sketch.ok()) return Fail(sketch.status());
   auto bound = sketch->BindSql(argv[3]);
@@ -298,12 +341,12 @@ int CmdTemplate(int argc, char** argv) {
 }
 
 int CmdServeBench(int argc, char** argv) {
-  if (argc < 4) {
-    std::fprintf(stderr,
-                 "usage: dsctl serve-bench <sketch-file> <SQL> [...]\n");
-    return 2;
-  }
-  Flags flags = ParseFlags(argc, argv, 4);
+  const Usage usage{"serve-bench <sketch-file> <SQL>",
+                    {"threads=N", "depth=N", "workers=N", "seconds=S",
+                     "max_batch=N", "wait_us=N"}};
+  Flags flags;
+  if (argc < 4) return usage.Print();
+  if (!ParseFlags(argc, argv, 4, usage, &flags)) return 2;
   auto sketch = sketch::DeepSketch::Load(argv[2]);
   if (!sketch.ok()) return Fail(sketch.status());
   // Fail fast on SQL the sketch cannot answer, before spinning up threads.
@@ -362,14 +405,13 @@ void HandleServeSignal(int) {
 }
 
 int CmdServe(int argc, char** argv) {
-  if (argc < 3) {
-    std::fprintf(stderr,
-                 "usage: dsctl serve <sketch-file> [--listen=host:port] "
-                 "[name=N] [workers=N] [net_workers=N] [rate=R] [burst=B] "
-                 "[seconds=S]\n");
-    return 2;
-  }
-  Flags flags = ParseFlags(argc, argv, 3);
+  const Usage usage{"serve <sketch-file>",
+                    {"--listen=host:port", "listen=host:port", "name=NAME",
+                     "workers=N", "net_workers=N", "rate=R", "burst=B",
+                     "seconds=S"}};
+  Flags flags;
+  if (argc < 3) return usage.Print();
+  if (!ParseFlags(argc, argv, 3, usage, &flags)) return 2;
   auto sketch = sketch::DeepSketch::Load(argv[2]);
   if (!sketch.ok()) return Fail(sketch.status());
   const std::string default_name =
@@ -430,12 +472,10 @@ int CmdServe(int argc, char** argv) {
 }
 
 int CmdNetLoad(int argc, char** argv) {
-  if (argc < 4) {
-    std::fprintf(stderr,
-                 "usage: dsctl netload <host:port> <sketch-name> [SQL...] "
-                 "[threads=N] [depth=N] [seconds=S] [tenant=T] [trace=N]\n");
-    return 2;
-  }
+  const Usage usage{"netload <host:port> <sketch-name> [SQL...]",
+                    {"threads=N", "depth=N", "seconds=S", "tenant=T",
+                     "trace=N"}};
+  if (argc < 4) return usage.Print();
   const std::string target = argv[2];
   const auto colon = target.rfind(':');
   if (colon == std::string::npos) {
@@ -455,6 +495,7 @@ int CmdNetLoad(int argc, char** argv) {
     // that looks like a flag name; anything with '=' in its first token is
     // a flag, the rest are SQL statements.
     if (eq != std::string::npos && arg.find(' ') > eq) {
+      if (!usage.Knows(arg.substr(0, eq))) return RejectArgument(arg, usage);
       flags.values[arg.substr(0, eq)] = arg.substr(eq + 1);
     } else {
       sqls.push_back(std::move(arg));
@@ -516,13 +557,11 @@ Result<std::unique_ptr<serve::SketchServer>> ServeQueries(
 }
 
 int CmdMetrics(int argc, char** argv) {
-  if (argc < 4) {
-    std::fprintf(stderr,
-                 "usage: dsctl metrics <sketch-file> <SQL> [requests=N] "
-                 "[format=prom|json]\n");
-    return 2;
-  }
-  Flags flags = ParseFlags(argc, argv, 4);
+  const Usage usage{"metrics <sketch-file> <SQL>",
+                    {"requests=N", "format=prom|json"}};
+  Flags flags;
+  if (argc < 4) return usage.Print();
+  if (!ParseFlags(argc, argv, 4, usage, &flags)) return 2;
   const std::string format = flags.GetString("format", "prom");
   if (format != "prom" && format != "json") {
     std::fprintf(stderr, "dsctl: unknown format '%s' (prom|json)\n",
@@ -583,12 +622,12 @@ int WriteOutput(const std::string& out_path, const std::string& body) {
 
 int CmdTraceExport(int argc, char** argv) {
   // argv: dsctl trace export <host:port | sketch-file SQL> [flags...]
+  const Usage remote_usage{"trace export <host:port>", {"out=FILE"}};
+  const Usage local_usage{"trace export <sketch-file> <SQL>",
+                          {"requests=N", "out=FILE"}};
   if (argc < 4) {
-    std::fprintf(stderr,
-                 "usage: dsctl trace export <host:port> [out=FILE]\n"
-                 "       dsctl trace export <sketch-file> <SQL> "
-                 "[requests=N] [out=FILE]\n");
-    return 2;
+    remote_usage.Print();
+    return local_usage.Print();
   }
   const std::string target = argv[3];
   // A host:port target has a colon and names no existing file; anything
@@ -598,7 +637,7 @@ int CmdTraceExport(int argc, char** argv) {
   std::string json;
   Flags flags;
   if (remote) {
-    flags = ParseFlags(argc, argv, 4);
+    if (!ParseFlags(argc, argv, 4, remote_usage, &flags)) return 2;
     std::string host;
     uint16_t port = 0;
     if (!ParseHostPort(target, &host, &port)) return 2;
@@ -606,13 +645,8 @@ int CmdTraceExport(int argc, char** argv) {
     if (!body.ok()) return Fail(body.status());
     json = std::move(body).value();
   } else {
-    if (argc < 5) {
-      std::fprintf(stderr,
-                   "usage: dsctl trace export <sketch-file> <SQL> "
-                   "[requests=N] [out=FILE]\n");
-      return 2;
-    }
-    flags = ParseFlags(argc, argv, 5);
+    if (argc < 5) return local_usage.Print();
+    if (!ParseFlags(argc, argv, 5, local_usage, &flags)) return 2;
     serve::ServerOptions options;
     options.trace_sample_every = 1;
     options.stmt_cache_capacity = 0;
@@ -634,15 +668,13 @@ int CmdTraceExport(int argc, char** argv) {
 }
 
 int CmdTop(int argc, char** argv) {
-  if (argc < 3) {
-    std::fprintf(stderr,
-                 "usage: dsctl top <host:port> [interval=S] [iters=N]\n");
-    return 2;
-  }
+  const Usage usage{"top <host:port>", {"interval=S", "iters=N"}};
+  Flags flags;
+  if (argc < 3) return usage.Print();
   std::string host;
   uint16_t port = 0;
   if (!ParseHostPort(argv[2], &host, &port)) return 2;
-  Flags flags = ParseFlags(argc, argv, 3);
+  if (!ParseFlags(argc, argv, 3, usage, &flags)) return 2;
   const double interval =
       std::strtod(flags.GetString("interval", "2").c_str(), nullptr);
   const int64_t iters = flags.GetInt("iters", 0);
@@ -688,12 +720,10 @@ int CmdTrace(int argc, char** argv) {
   if (argc >= 3 && std::string_view(argv[2]) == "export") {
     return CmdTraceExport(argc, argv);
   }
-  if (argc < 4) {
-    std::fprintf(stderr,
-                 "usage: dsctl trace <sketch-file> <SQL> [requests=N]\n");
-    return 2;
-  }
-  Flags flags = ParseFlags(argc, argv, 4);
+  const Usage usage{"trace <sketch-file> <SQL>", {"requests=N"}};
+  Flags flags;
+  if (argc < 4) return usage.Print();
+  if (!ParseFlags(argc, argv, 4, usage, &flags)) return 2;
   serve::ServerOptions options;
   options.trace_sample_every = 1;
   // Traces should show real parse/bind/infer work, not cache hits.
