@@ -18,7 +18,8 @@
 using namespace ds;
 
 int main(int argc, char** argv) {
-  bench::Args args(argc, argv);
+  bench::Args args(argc, argv, {"titles=N", "queries=N", "epochs=N", "seed=N",
+                                "out=PATH"});
   const size_t titles = args.GetInt("titles", 15'000);
   const size_t queries = args.GetInt("queries", 4'000);
   const size_t epochs = args.GetInt("epochs", 25);

@@ -12,32 +12,55 @@
 
 namespace ds::bench {
 
-Args::Args(int argc, char** argv) {
+Args::Args(int argc, char** argv, std::vector<std::string_view> flags)
+    : flags_(std::move(flags)) {
   for (int i = 1; i < argc; ++i) {
-    std::string arg(argv[i]);
-    auto eq = arg.find('=');
-    if (eq == std::string::npos) {
-      std::fprintf(stderr, "ignoring argument without '=': %s\n", arg.c_str());
-      continue;
+    const std::string arg(argv[i]);
+    const auto eq = arg.find('=');
+    if (eq == std::string::npos || !Knows(arg.substr(0, eq))) {
+      const std::string program =
+          std::filesystem::path(argv[0]).filename().string();
+      std::string usage = "usage: " + program;
+      for (std::string_view f : flags_) {
+        usage += " [";
+        usage += f;
+        usage += "]";
+      }
+      std::fprintf(stderr, "%s: unknown argument '%s'\n%s\n",
+                   program.c_str(), arg.c_str(), usage.c_str());
+      std::exit(2);
     }
     values_[arg.substr(0, eq)] = arg.substr(eq + 1);
   }
 }
 
-int64_t Args::GetInt(const std::string& name, int64_t def) const {
+bool Args::Knows(std::string_view key) const {
+  for (std::string_view f : flags_) {
+    if (f.substr(0, f.find('=')) == key) return true;
+  }
+  return false;
+}
+
+const std::string* Args::Find(const std::string& name) const {
+  DS_CHECK(Knows(name));
   auto it = values_.find(name);
-  return it == values_.end() ? def : std::strtoll(it->second.c_str(), nullptr, 10);
+  return it == values_.end() ? nullptr : &it->second;
+}
+
+int64_t Args::GetInt(const std::string& name, int64_t def) const {
+  const std::string* v = Find(name);
+  return v == nullptr ? def : std::strtoll(v->c_str(), nullptr, 10);
 }
 
 double Args::GetDouble(const std::string& name, double def) const {
-  auto it = values_.find(name);
-  return it == values_.end() ? def : std::strtod(it->second.c_str(), nullptr);
+  const std::string* v = Find(name);
+  return v == nullptr ? def : std::strtod(v->c_str(), nullptr);
 }
 
 std::string Args::GetString(const std::string& name,
                             const std::string& def) const {
-  auto it = values_.find(name);
-  return it == values_.end() ? def : it->second;
+  const std::string* v = Find(name);
+  return v == nullptr ? def : *v;
 }
 
 std::vector<std::string> JobLightTables() {

@@ -5,6 +5,7 @@
 //   ./bench_table1_joblight titles=10000 queries=4000 epochs=20
 //
 // so the full-scale paper configuration and quick smoke runs share code.
+// A key the binary does not read is an error (usage line, exit 2).
 
 #ifndef DS_BENCH_BENCH_UTIL_H_
 #define DS_BENCH_BENCH_UTIL_H_
@@ -14,6 +15,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ds/est/estimator.h"
@@ -23,10 +25,15 @@
 
 namespace ds::bench {
 
-/// name=value argument parsing with typed getters.
+/// name=value argument parsing with typed getters. `flags` lists every key
+/// the binary reads, each written "key=HINT"; it is also the usage line. An
+/// argument that is not key=value, or whose key is not listed, prints the
+/// usage line and exits 2, so a misspelled flag fails the run instead of
+/// silently keeping its default. Getting an unlisted key is a bug in the
+/// binary and aborts.
 class Args {
  public:
-  Args(int argc, char** argv);
+  Args(int argc, char** argv, std::vector<std::string_view> flags);
 
   int64_t GetInt(const std::string& name, int64_t def) const;
   double GetDouble(const std::string& name, double def) const;
@@ -34,6 +41,11 @@ class Args {
                         const std::string& def) const;
 
  private:
+  bool Knows(std::string_view key) const;
+  /// The value given for `name`, or null; aborts when `name` is unlisted.
+  const std::string* Find(const std::string& name) const;
+
+  std::vector<std::string_view> flags_;
   std::map<std::string, std::string> values_;
 };
 

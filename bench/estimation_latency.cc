@@ -191,7 +191,7 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   const std::string json_path =
-      bench::Args(argc, argv)
+      bench::Args(argc, argv, {"json=PATH"})
           .GetString("json", "bench_results/estimation_latency.json");
   if (!json_path.empty()) WriteJsonResults(json_path);
   return 0;

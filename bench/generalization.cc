@@ -59,7 +59,9 @@ void Collect(const storage::Catalog& db, workload::QueryGenerator* gen,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Args args(argc, argv);
+  bench::Args args(argc, argv, {"titles=N", "queries=N", "epochs=N",
+                                "samples=N", "eval_queries=N", "seed=N",
+                                "out=PATH"});
   const size_t titles = args.GetInt("titles", 15'000);
   const size_t queries = args.GetInt("queries", 8'000);
   const size_t epochs = args.GetInt("epochs", 25);

@@ -109,7 +109,7 @@ bool BitIdentical(const Tensor& a, const Tensor& b) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Args args(argc, argv);
+  bench::Args args(argc, argv, {"check=0|1", "iters=N", "json=PATH"});
   const bool check = args.GetInt("check", 0) != 0;
   const size_t iters = static_cast<size_t>(args.GetInt("iters", 2000));
 

@@ -28,7 +28,9 @@
 using namespace ds;
 
 int main(int argc, char** argv) {
-  bench::Args args(argc, argv);
+  bench::Args args(argc, argv, {"titles=N", "queries=N", "epochs=N",
+                                "samples=N", "jl_queries=N", "seed=N",
+                                "out=PATH"});
   const size_t titles = args.GetInt("titles", 10'000);
   const size_t queries = args.GetInt("queries", 8'000);
   const size_t epochs = args.GetInt("epochs", 25);

@@ -275,7 +275,11 @@ int RunNetMode(const bench::Args& args, serve::SketchRegistry* registry,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Args args(argc, argv);
+  bench::Args args(argc, argv, {"titles=N", "queries=N", "epochs=N",
+                                "seconds=S", "depth=N", "workers=N",
+                                "max_batch=N", "wait_us=N", "json=PATH",
+                                "summary_json=PATH", "mode=inproc|net",
+                                "connections=N", "net_workers=N"});
   const double seconds = args.GetDouble("seconds", 0.5);
   const size_t depth = static_cast<size_t>(args.GetInt("depth", 16));
   const size_t workers = static_cast<size_t>(args.GetInt("workers", 1));

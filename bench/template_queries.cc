@@ -31,7 +31,9 @@
 using namespace ds;
 
 int main(int argc, char** argv) {
-  bench::Args args(argc, argv);
+  bench::Args args(argc, argv, {"titles=N", "queries=N", "epochs=N",
+                                "samples=N", "buckets=N", "keyword=WORD",
+                                "seed=N", "out=PATH"});
   const size_t titles = args.GetInt("titles", 15'000);
   const size_t queries = args.GetInt("queries", 10'000);
   const size_t epochs = args.GetInt("epochs", 25);

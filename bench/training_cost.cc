@@ -33,7 +33,8 @@
 using namespace ds;
 
 int main(int argc, char** argv) {
-  bench::Args args(argc, argv);
+  bench::Args args(argc, argv, {"titles=N", "max_queries=N", "samples=N",
+                                "hidden=N", "seed=N", "out=PATH"});
   const size_t titles = args.GetInt("titles", 12'000);
   const size_t samples = args.GetInt("samples", 128);
   const size_t hidden = args.GetInt("hidden", 64);

@@ -1,7 +1,5 @@
 #include "ds/mscn/dataset.h"
 
-#include <algorithm>
-
 namespace ds::mscn {
 
 Result<Dataset> Dataset::Build(
@@ -25,25 +23,17 @@ Result<Dataset> Dataset::Build(
 
 namespace {
 
-// Concatenates each query's CSR rows into `flat`, padding every set to the
-// per-batch max (at least 1) with empty rows, and marks real rows in `mask`.
+// Concatenates each query's CSR rows of one feature set into `out`.
 void PackSparseSet(const std::vector<const SparseQueryFeatures*>& queries,
                    nn::SparseRows SparseQueryFeatures::* member, size_t dim,
-                   nn::SparseRows* flat, nn::Tensor* mask) {
-  const size_t b = queries.size();
-  size_t s = 1;
-  for (const auto* q : queries) s = std::max(s, (q->*member).rows());
-  flat->Clear(dim);
-  mask->ResizeInPlace({b, s});
-  mask->Zero();
-  for (size_t i = 0; i < b; ++i) {
-    const nn::SparseRows& src = queries[i]->*member;
-    const size_t n = src.rows();
-    for (size_t j = 0; j < n; ++j) {
-      flat->AppendRowFrom(src, j);
-      mask->at(i, j) = 1.0f;
-    }
-    for (size_t j = n; j < s; ++j) flat->EndRow();
+                   SparseSet* out) {
+  out->rows.Clear(dim);
+  out->offsets.clear();
+  out->offsets.push_back(0);
+  for (const SparseQueryFeatures* q : queries) {
+    const nn::SparseRows& src = q->*member;
+    for (size_t j = 0; j < src.rows(); ++j) out->rows.AppendRowFrom(src, j);
+    out->offsets.push_back(static_cast<uint32_t>(out->rows.rows()));
   }
 }
 
@@ -52,11 +42,11 @@ void PackSparseSet(const std::vector<const SparseQueryFeatures*>& queries,
 void PackSparseBatch(const std::vector<const SparseQueryFeatures*>& queries,
                      const FeatureSpace& space, SparseBatch* out) {
   PackSparseSet(queries, &SparseQueryFeatures::tables, space.table_dim(),
-                &out->tables, &out->table_mask);
+                &out->tables);
   PackSparseSet(queries, &SparseQueryFeatures::joins, space.join_dim(),
-                &out->joins, &out->join_mask);
+                &out->joins);
   PackSparseSet(queries, &SparseQueryFeatures::predicates, space.pred_dim(),
-                &out->predicates, &out->predicate_mask);
+                &out->predicates);
 }
 
 }  // namespace ds::mscn

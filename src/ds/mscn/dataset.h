@@ -1,10 +1,11 @@
-// Training datasets and padded mini-batches for the MSCN model.
+// Training datasets and mini-batches for the MSCN model.
 //
 // The three feature sets of a query have variable sizes (1-N tables, 0-N
-// joins, 0-N predicates). A batch pads each set to the batch maximum and
-// carries 0/1 masks so the masked set-average only pools real elements.
-// Training and estimation featurize with the same FeaturizeSparse and pack
-// with the same PackSparseBatch.
+// joins, 0-N predicates). A batch stores each set's real rows only, with
+// per-query row offsets, so the set MLPs never run on padding and the set
+// average pools exactly the rows a query has. Training and estimation
+// featurize with the same FeaturizeSparse and pack with the same
+// PackSparseBatch.
 
 #ifndef DS_MSCN_DATASET_H_
 #define DS_MSCN_DATASET_H_
@@ -33,19 +34,24 @@ struct Dataset {
       const std::vector<workload::LabeledQuery>& workload, bool use_bitmaps);
 };
 
-/// A padded mini-batch with CSR feature rows: B*S sparse rows per set
-/// (empty rows pad; pooling ignores them via the masks) plus dense [B, S]
-/// masks. Designed for reuse — packing into a warm SparseBatch allocates
-/// nothing.
-struct SparseBatch {
-  nn::SparseRows tables, joins, predicates;
-  nn::Tensor table_mask, join_mask, predicate_mask;
-
-  size_t batch_size() const { return table_mask.dim(0); }
+/// One feature set of a mini-batch: every query's CSR rows back to back,
+/// and per-query row offsets — query i owns rows [offsets[i],
+/// offsets[i+1]), so offsets has one entry more than the batch has queries.
+struct SparseSet {
+  nn::SparseRows rows;
+  std::vector<uint32_t> offsets;
 };
 
-/// Packs per-query sparse features into `out`, padding each set to the
-/// per-batch maximum (at least 1) with empty rows.
+/// A mini-batch with CSR feature rows, one SparseSet per feature set.
+/// Designed for reuse — packing into a warm SparseBatch allocates nothing.
+struct SparseBatch {
+  SparseSet tables, joins, predicates;
+
+  size_t batch_size() const { return tables.offsets.size() - 1; }
+};
+
+/// Packs per-query sparse features into `out`, each set's rows in query
+/// order.
 void PackSparseBatch(const std::vector<const SparseQueryFeatures*>& queries,
                      const FeatureSpace& space, SparseBatch* out);
 

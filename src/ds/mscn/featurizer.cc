@@ -214,8 +214,8 @@ Status FeatureSpace::FeaturizeSparse(const workload::QuerySpec& spec,
     }
     out->predicates.EndRow();
   }
-  // Featurization postcondition: one CSR row per set element — the padded
-  // batch packer (deep_sketch.cc) indexes rows positionally.
+  // Featurization postcondition: one CSR row per set element — the batch
+  // packer (PackSparseBatch) derives each query's row offsets from it.
   DS_ENSURE(out->tables.rows() == q->tables.size() &&
                 out->joins.rows() == q->joins.size() &&
                 out->predicates.rows() == q->predicates.size(),

@@ -72,13 +72,14 @@ nn::Tensor MscnModel::Forward(const SparseBatch& batch) {
   const size_t h = config_.hidden_units;
   const size_t b = batch.batch_size();
 
-  // Per-element shared MLPs on the flattened sets, then masked averaging.
-  nn::Tensor t = table_pool_.Forward(table_mlp_.ForwardSparse(batch.tables),
-                                     batch.table_mask);
-  nn::Tensor j = join_pool_.Forward(join_mlp_.ForwardSparse(batch.joins),
-                                    batch.join_mask);
+  // Per-element shared MLPs on each set's real rows, then set averages.
+  nn::Tensor t = table_pool_.Forward(
+      table_mlp_.ForwardSparse(batch.tables.rows), batch.tables.offsets);
+  nn::Tensor j = join_pool_.Forward(join_mlp_.ForwardSparse(batch.joins.rows),
+                                    batch.joins.offsets);
   nn::Tensor p = pred_pool_.Forward(
-      pred_mlp_.ForwardSparse(batch.predicates), batch.predicate_mask);
+      pred_mlp_.ForwardSparse(batch.predicates.rows),
+      batch.predicates.offsets);
 
   // Concatenate the three pooled representations.
   nn::Tensor concat({b, 3 * h});
@@ -95,18 +96,19 @@ nn::Tensor MscnModel::Forward(const SparseBatch& batch) {
 const nn::Tensor* MscnModel::InferSparse(const SparseBatch& batch,
                                          nn::Workspace* ws) const {
   const size_t h = config_.hidden_units;
-  const size_t b = batch.table_mask.dim(0);
+  const size_t b = batch.batch_size();
 
-  // Per-element shared MLPs on the flattened sets, then masked averaging.
+  // Per-element shared MLPs on each set's real rows, then set averages.
   nn::Tensor* t = ws->Acquire();
   nn::Tensor* j = ws->Acquire();
   nn::Tensor* p = ws->Acquire();
-  nn::MaskedMean::PoolInto(*table_mlp_.InferSparseInto(batch.tables, ws),
-                           batch.table_mask, t);
-  nn::MaskedMean::PoolInto(*join_mlp_.InferSparseInto(batch.joins, ws),
-                           batch.join_mask, j);
-  nn::MaskedMean::PoolInto(*pred_mlp_.InferSparseInto(batch.predicates, ws),
-                           batch.predicate_mask, p);
+  nn::MaskedMean::PoolInto(*table_mlp_.InferSparseInto(batch.tables.rows, ws),
+                           batch.tables.offsets, t);
+  nn::MaskedMean::PoolInto(*join_mlp_.InferSparseInto(batch.joins.rows, ws),
+                           batch.joins.offsets, j);
+  nn::MaskedMean::PoolInto(
+      *pred_mlp_.InferSparseInto(batch.predicates.rows, ws),
+      batch.predicates.offsets, p);
 
   nn::Tensor* concat = ws->Acquire();
   concat->ResizeInPlace({b, 3 * h});

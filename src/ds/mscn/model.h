@@ -6,9 +6,9 @@
 // feed them into a final output MLP, which captures correlations between
 // sets and outputs a cardinality estimate."
 //
-//   table set  -> MLP_t (shared over elements) -> masked mean ┐
-//   join set   -> MLP_j                        -> masked mean ┼ concat -> MLP_out -> sigmoid
-//   pred set   -> MLP_p                        -> masked mean ┘
+//   table set  -> MLP_t (shared over elements) -> set mean ┐
+//   join set   -> MLP_j                        -> set mean ┼ concat -> MLP_out -> sigmoid
+//   pred set   -> MLP_p                        -> set mean ┘
 //
 // The sigmoid output is a normalized log-cardinality (see nn::LogNormalizer).
 
@@ -41,7 +41,7 @@ class MscnModel {
 
   void Initialize(util::Pcg32* rng);
 
-  /// Forward pass over a padded batch; returns sigmoid outputs [B, 1]. The
+  /// Forward pass over a batch; returns sigmoid outputs [B, 1]. The
   /// CSR rows feed the first layer of each set-MLP, as in InferSparse.
   /// Caches activations for Backward — training only, not thread-safe.
   nn::Tensor Forward(const SparseBatch& batch);

@@ -157,12 +157,11 @@ struct SparseRows {
     vals.push_back(val);
   }
 
-  /// Finishes the current row (call once per row, including empty padding
-  /// rows).
+  /// Finishes the current row (call once per row, including empty rows).
   void EndRow() { row_offsets.push_back(static_cast<uint32_t>(cols.size())); }
 
   /// Appends a full row copied from `src` (used when packing per-query rows
-  /// into a padded per-batch matrix). Bulk-copies the row's column/value
+  /// into a per-batch matrix). Bulk-copies the row's column/value
   /// spans — bitmap-featurized rows carry hundreds of entries, so this is
   /// on the batched-serving critical path.
   void AppendRowFrom(const SparseRows& src, size_t row) {

@@ -63,7 +63,9 @@ void Linear::BackwardParams(const Tensor& dy) {
   if (sparse_fed_) {
     SparseMatMulTransposedAAccumulate(cached_sparse_x_, dy, &weight_.grad);
   } else {
-    DS_CHECK(!cached_x_.empty());
+    // Rank 2 once a Forward ran; a batch may have no rows (a set that no
+    // query in the batch has).
+    DS_CHECK_EQ(cached_x_.rank(), 2u);
     MatMulTransposedAAccumulate(cached_x_, dy, &weight_.grad);
   }
   SumRowsInto(dy, &bias_.grad);
@@ -81,11 +83,16 @@ Tensor ReLU::Forward(Tensor x) {
 
 Tensor ReLU::Backward(const Tensor& dy) {
   DS_CHECK(dy.SameShape(cached_y_));
-  Tensor dx = dy;
+  Tensor dx(dy.shape());
   const float* y = cached_y_.data();
+  const float* g = dy.data();
   float* d = dx.data();
+  // A select the compiler vectorizes: y is never negative or NaN (Forward
+  // maps both to 0), so y == 0 exactly when !(y > 0). g[i] is loaded
+  // unconditionally, or the select would guard the load and stay scalar.
   for (size_t i = 0; i < dx.size(); ++i) {
-    if (y[i] == 0.0f) d[i] = 0.0f;
+    const float gi = g[i];
+    d[i] = y[i] > 0.0f ? gi : 0.0f;
   }
   return dx;
 }
@@ -188,76 +195,67 @@ std::vector<Parameter*> Mlp::Parameters() {
 
 // ---- MaskedMean -----------------------------------------------------------------------
 
-Tensor MaskedMean::Forward(const Tensor& flat, const Tensor& mask) {
-  DS_CHECK_EQ(flat.rank(), 2u);
-  DS_CHECK_EQ(mask.rank(), 2u);
-  const size_t b = mask.dim(0), s = mask.dim(1), h = flat.dim(1);
-  DS_CHECK_EQ(flat.dim(0), b * s);
-  cached_mask_ = mask;
-  cached_h_ = h;
-  cached_counts_.assign(b, 0.0f);
-  Tensor out({b, h});
-  for (size_t i = 0; i < b; ++i) {
-    float count = 0.0f;
-    float* orow = out.data() + i * h;
-    for (size_t j = 0; j < s; ++j) {
-      const float m = mask.at(i, j);
-      if (m == 0.0f) continue;
-      count += m;
-      const float* frow = flat.data() + (i * s + j) * h;
-      for (size_t k = 0; k < h; ++k) orow[k] += m * frow[k];
+namespace {
+
+// Set i's average over rows [offsets[i], offsets[i+1]) of `flat` into row i
+// of `out`, which must be zeroed.
+void SegmentMeans(const Tensor& flat, std::span<const uint32_t> offsets,
+                  Tensor* out) {
+  const size_t h = flat.dim(1);
+  for (size_t i = 0; i + 1 < offsets.size(); ++i) {
+    float* orow = out->data() + i * h;
+    for (uint32_t r = offsets[i]; r < offsets[i + 1]; ++r) {
+      const float* frow = flat.data() + static_cast<size_t>(r) * h;
+      for (size_t k = 0; k < h; ++k) orow[k] += frow[k];
     }
-    cached_counts_[i] = count;
-    if (count > 0.0f) {
-      const float inv = 1.0f / count;
+    const uint32_t count = offsets[i + 1] - offsets[i];
+    if (count > 0) {
+      const float inv = 1.0f / static_cast<float>(count);
       for (size_t k = 0; k < h; ++k) orow[k] *= inv;
     }
   }
+}
+
+void CheckSegments(const Tensor& flat, std::span<const uint32_t> offsets) {
+  DS_CHECK_EQ(flat.rank(), 2u);
+  DS_CHECK_GE(offsets.size(), 1u);
+  DS_CHECK_EQ(offsets.front(), 0u);
+  DS_CHECK_EQ(static_cast<size_t>(offsets.back()), flat.dim(0));
+}
+
+}  // namespace
+
+Tensor MaskedMean::Forward(const Tensor& flat,
+                           std::span<const uint32_t> offsets) {
+  CheckSegments(flat, offsets);
+  cached_offsets_.assign(offsets.begin(), offsets.end());
+  cached_h_ = flat.dim(1);
+  Tensor out({offsets.size() - 1, cached_h_});
+  SegmentMeans(flat, offsets, &out);
   return out;
 }
 
-void MaskedMean::PoolInto(const Tensor& flat, const Tensor& mask,
+void MaskedMean::PoolInto(const Tensor& flat, std::span<const uint32_t> offsets,
                           Tensor* out) {
-  DS_CHECK_EQ(flat.rank(), 2u);
-  DS_CHECK_EQ(mask.rank(), 2u);
-  const size_t b = mask.dim(0), s = mask.dim(1), h = flat.dim(1);
-  DS_CHECK_EQ(flat.dim(0), b * s);
-  out->ResizeInPlace({b, h});
-  for (size_t i = 0; i < b; ++i) {
-    float count = 0.0f;
-    float* orow = out->data() + i * h;
-    for (size_t k = 0; k < h; ++k) orow[k] = 0.0f;
-    for (size_t j = 0; j < s; ++j) {
-      const float m = mask.at(i, j);
-      if (m == 0.0f) continue;
-      count += m;
-      const float* frow = flat.data() + (i * s + j) * h;
-      for (size_t k = 0; k < h; ++k) orow[k] += m * frow[k];
-    }
-    if (count > 0.0f) {
-      const float inv = 1.0f / count;
-      for (size_t k = 0; k < h; ++k) orow[k] *= inv;
-    }
-  }
+  CheckSegments(flat, offsets);
+  out->ResizeInPlace({offsets.size() - 1, flat.dim(1)});
+  out->Zero();
+  SegmentMeans(flat, offsets, out);
 }
 
 Tensor MaskedMean::Backward(const Tensor& dy) {
-  const size_t b = cached_mask_.dim(0), s = cached_mask_.dim(1);
-  const size_t h = cached_h_;
+  const size_t b = cached_offsets_.size() - 1, h = cached_h_;
   DS_CHECK_EQ(dy.dim(0), b);
   DS_CHECK_EQ(dy.dim(1), h);
-  Tensor dflat({b * s, h});
+  Tensor dflat({cached_offsets_.back(), h});
   for (size_t i = 0; i < b; ++i) {
-    const float count = cached_counts_[i];
-    if (count == 0.0f) continue;
-    const float inv = 1.0f / count;
+    const uint32_t count = cached_offsets_[i + 1] - cached_offsets_[i];
+    if (count == 0) continue;
+    const float inv = 1.0f / static_cast<float>(count);
     const float* drow = dy.data() + i * h;
-    for (size_t j = 0; j < s; ++j) {
-      const float m = cached_mask_.at(i, j);
-      if (m == 0.0f) continue;
-      float* frow = dflat.data() + (i * s + j) * h;
-      const float scale = m * inv;
-      for (size_t k = 0; k < h; ++k) frow[k] = scale * drow[k];
+    for (uint32_t r = cached_offsets_[i]; r < cached_offsets_[i + 1]; ++r) {
+      float* frow = dflat.data() + static_cast<size_t>(r) * h;
+      for (size_t k = 0; k < h; ++k) frow[k] = inv * drow[k];
     }
   }
   return dflat;

@@ -18,6 +18,7 @@
 #ifndef DS_NN_LAYERS_H_
 #define DS_NN_LAYERS_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -158,25 +159,26 @@ class Mlp {
   bool final_activation_;
 };
 
-/// Masked mean over a set dimension: given per-element features
-/// flat [B*S, H] and a mask [B, S] (1 = real element, 0 = padding), produces
-/// the per-set average [B, H] over real elements. This is the Deep Sets
-/// style pooling at the heart of the MSCN (§2 of the paper).
+/// Masked mean over a set dimension — the Deep Sets style pooling at the
+/// heart of the MSCN (§2 of the paper) — with the mask implicit in the
+/// layout: a batch stores only real elements. `flat` [R, H] holds every
+/// set's element rows back to back, and set i owns rows
+/// [offsets[i], offsets[i+1]); `offsets` has B+1 entries, starts at 0 and
+/// ends at R. The result [B, H] is each set's average, accumulated over its
+/// rows in order; a set with no rows yields a zero vector and no gradient.
 class MaskedMean {
  public:
-  /// `flat` is [B*S, H]; `mask` is [B, S]. A set with no real elements
-  /// yields a zero vector.
-  Tensor Forward(const Tensor& flat, const Tensor& mask);
-  /// dy is [B, H]; returns gradient for `flat` [B*S, H].
+  Tensor Forward(const Tensor& flat, std::span<const uint32_t> offsets);
+  /// dy is [B, H]; returns the gradient for `flat` [R, H].
   Tensor Backward(const Tensor& dy);
 
   /// Stateless, allocation-free pooling (inference path): `out` is resized
   /// in place to [B, H]. Bit-for-bit identical to Forward, no caches.
-  static void PoolInto(const Tensor& flat, const Tensor& mask, Tensor* out);
+  static void PoolInto(const Tensor& flat, std::span<const uint32_t> offsets,
+                       Tensor* out);
 
  private:
-  Tensor cached_mask_;
-  std::vector<float> cached_counts_;  // real elements per set
+  std::vector<uint32_t> cached_offsets_;
   size_t cached_h_ = 0;
 };
 

@@ -72,6 +72,8 @@ struct SketchConfig {
 
 /// Progress hooks for the demo's monitoring UI (labeling + epochs).
 struct TrainingMonitor {
+  /// Called from the labeling threads, one call at a time, with `done`
+  /// strictly increasing (workload::LabelerOptions::progress).
   std::function<void(size_t done, size_t total)> on_labeling_progress;
   std::function<void(const mscn::EpochStats&)> on_epoch;
   /// Forwarded to mscn::TrainerOptions::obs_registry — per-epoch metrics

@@ -41,6 +41,8 @@ namespace ds::util {
 // lock_order.json; holder documents the declaring member.
 //
 // Rationale for the ordering (the edges each rank must sit above/below):
+//   workload.label.progress  held across the caller's progress callback,
+//                        which may take any other lock
 //   net.server.stop      held across loop shutdown -> event_loop.tasks
 //   serve.server.stop    held while flipping shard stopping -> server.shard
 //   sketch.manager...    held across registry Contains -> registry.shard
@@ -50,6 +52,8 @@ namespace ds::util {
 //   obs.drift.set        held across per-monitor Report -> obs.drift.monitor
 //   test.outer/inner/leaf  reserved for tests (lockdep_test, examples)
 #define DS_LOCK_RANK_TABLE(X)                                                  \
+  X(kWorkloadLabelProgress, 50, "workload.label.progress",                     \
+    "workload::LabelQueries progress_mu")                                      \
   X(kNetServerStop, 100, "net.server.stop", "net::NetServer::stop_mu_")        \
   X(kServeServerStop, 150, "serve.server.stop",                                \
     "serve::SketchServer::stop_mu_")                                           \

@@ -27,14 +27,18 @@ struct LabeledQuery {
 
 struct LabelerOptions {
   /// Invoked after every labeled query with (done, total); used by the demo
-  /// UI flow to monitor training-data generation.
+  /// UI flow to monitor training-data generation. Calls come from the
+  /// labeling threads but never overlap (they run under a mutex ranked
+  /// kWorkloadLabelProgress), and `done` strictly increases up to `total`.
   std::function<void(size_t, size_t)> progress;
 };
 
 /// Labels `queries` with true cardinalities (via the executor) and, when
 /// `samples` is non-null, per-table sample bitmaps. The demo executes
 /// training queries "in parallel on multiple HyPer instances"; this API is
-/// the batched equivalent.
+/// the in-process equivalent: queries fan out over every hardware thread,
+/// and the results come back in query order. On failure it returns the
+/// error of the lowest-index failing query.
 Result<std::vector<LabeledQuery>> LabelQueries(
     const storage::Catalog& catalog, const est::SampleSet* samples,
     const std::vector<QuerySpec>& queries, const LabelerOptions& options = {});

@@ -192,7 +192,7 @@ TEST_F(MscnTest, FeatureSpaceSerializationRoundTrip) {
   EXPECT_TRUE(testutil::BitIdentical(a.tables.ToDense(), b.tables.ToDense()));
 }
 
-TEST_F(MscnTest, BatchPadsAndMasks) {
+TEST_F(MscnTest, BatchStoresRealRowsWithOffsets) {
   // Query 0: 1 table, 0 joins, 0 predicates; query 1: 3 tables, 2 joins,
   // 2 predicates.
   SparseBatch batch = Pack(
@@ -201,18 +201,29 @@ TEST_F(MscnTest, BatchPadsAndMasks) {
                    "WHERE r.movie_id = m.id AND m.genre_id = g.id AND "
                    "m.year > 2003 AND r.votes < 50"))});
   EXPECT_EQ(batch.batch_size(), 2u);
-  // Table set padded to 3: B*S rows, padding rows empty.
-  EXPECT_EQ(batch.table_mask.dim(1), 3u);
-  ASSERT_EQ(batch.tables.rows(), 6u);
-  EXPECT_FLOAT_EQ(batch.table_mask.at(0, 0), 1.0f);
-  EXPECT_FLOAT_EQ(batch.table_mask.at(0, 1), 0.0f);
-  EXPECT_FLOAT_EQ(batch.table_mask.at(1, 2), 1.0f);
-  EXPECT_EQ(batch.tables.row_offsets[1], batch.tables.row_offsets[3]);
-  // Join set: query 0 has no joins -> all-zero mask row, empty rows.
-  EXPECT_FLOAT_EQ(batch.join_mask.at(0, 0), 0.0f);
-  EXPECT_FLOAT_EQ(batch.join_mask.at(1, 0), 1.0f);
-  EXPECT_EQ(batch.joins.rows(), 4u);
-  EXPECT_EQ(batch.joins.row_offsets[2], 0u);
+  // Only real rows are stored: 1 + 3 tables.
+  ASSERT_EQ(batch.tables.rows.rows(), 4u);
+  EXPECT_EQ(batch.tables.offsets, (std::vector<uint32_t>{0, 1, 4}));
+  // Query 0 has no joins and no predicates: empty ranges.
+  EXPECT_EQ(batch.joins.rows.rows(), 2u);
+  EXPECT_EQ(batch.joins.offsets, (std::vector<uint32_t>{0, 0, 2}));
+  EXPECT_EQ(batch.predicates.rows.rows(), 2u);
+  EXPECT_EQ(batch.predicates.offsets, (std::vector<uint32_t>{0, 0, 2}));
+  // Each query's rows are copied unchanged, in order.
+  const SparseQueryFeatures q1 =
+      Featurize(Q("SELECT COUNT(*) FROM movie m, rating r, genre g "
+                  "WHERE r.movie_id = m.id AND m.genre_id = g.id AND "
+                  "m.year > 2003 AND r.votes < 50"));
+  for (size_t j = 0; j < 3; ++j) {
+    const uint32_t b = batch.tables.rows.row_offsets[1 + j];
+    const uint32_t e = batch.tables.rows.row_offsets[2 + j];
+    const uint32_t qb = q1.tables.row_offsets[j];
+    ASSERT_EQ(e - b, q1.tables.row_offsets[j + 1] - qb);
+    for (uint32_t x = 0; x < e - b; ++x) {
+      EXPECT_EQ(batch.tables.rows.cols[b + x], q1.tables.cols[qb + x]);
+      EXPECT_EQ(batch.tables.rows.vals[b + x], q1.tables.vals[qb + x]);
+    }
+  }
 }
 
 TEST_F(MscnTest, ModelForwardShapeAndRange) {

@@ -350,6 +350,163 @@ TEST(KernelTest, AppendRowFromCopiesRows) {
   }
 }
 
+// ---- Width sweep against the scalar reference loops ------------------------
+
+// A [rows, dim] CSR matrix with about `density` of its entries set, half of
+// them to 1.0f (the one-hot/bitmap value SparseLinearOp special-cases), and
+// every third row empty.
+SparseRows RandomCsr(size_t rows, size_t dim, double density,
+                     util::Pcg32* rng) {
+  SparseRows s;
+  s.Clear(dim);
+  for (size_t i = 0; i < rows; ++i) {
+    for (size_t c = 0; i % 3 != 1 && c < dim; ++c) {
+      if (rng->UniformDouble(0, 1) >= density) continue;
+      const float v = rng->UniformDouble(0, 1) < 0.5
+                          ? 1.0f
+                          : static_cast<float>(rng->Normal());
+      if (v != 0.0f) s.Push(static_cast<uint32_t>(c), v);
+    }
+    s.EndRow();
+  }
+  return s;
+}
+
+// m = 1..72 covers the register-resident widths (multiples of 8 up to 64)
+// and both fallbacks (other widths, and multiples of 8 above 64). Some row
+// counts exceed the 32-row blocks of the transposed-A accumulation.
+TEST(KernelSweepTest, DenseKernelsMatchReferenceLoopsAtEveryWidth) {
+  namespace ref = testutil::refkernel;
+  const nn::KernelTier entry = nn::ActiveKernelTier();
+  for (nn::KernelTier tier : nn::AvailableKernelTiers()) {
+    SCOPED_TRACE(nn::KernelTierName(tier));
+    ASSERT_TRUE(nn::SetKernelTier(tier));
+    util::Pcg32 rng(40);
+    for (size_t m = 1; m <= 72; ++m) {
+      for (size_t k : {3u, 8u, 13u, 37u}) {
+        SCOPED_TRACE("m=" + std::to_string(m) + " k=" + std::to_string(k));
+        const size_t n = 1 + m % 5 + (m % 7 == 0 ? 33 : 0);
+        const Tensor a = RandomTensor({n, k}, &rng, 0.3);
+        const Tensor w = RandomTensor({k, m}, &rng);
+        const Tensor bias = RandomTensor({m}, &rng);
+        Tensor want({n, m}), got;
+        for (bool relu : {false, true}) {
+          ref::Linear(a.data(), w.data(), bias.data(), relu, want.data(), n,
+                      k, m);
+          LinearBiasActInto(a, w, bias, relu, &got);
+          ASSERT_TRUE(testutil::BitIdentical(want, got))
+              << "Linear relu=" << relu;
+        }
+        const Tensor bt = RandomTensor({m, k}, &rng);
+        ref::MatMulTB(a.data(), bt.data(), want.data(), n, k, m, tier);
+        MatMulTransposedBInto(a, bt, &got);
+        ASSERT_TRUE(testutil::BitIdentical(want, got)) << "MatMulTB";
+        // Twice: the second call accumulates into non-zero gradients.
+        const Tensor dy = RandomTensor({n, m}, &rng);
+        Tensor want_acc = RandomTensor({k, m}, &rng);
+        Tensor got_acc = want_acc;
+        for (int step = 0; step < 2; ++step) {
+          ref::MatMulTAAcc(a.data(), dy.data(), want_acc.data(), n, k, m);
+          MatMulTransposedAAccumulate(a, dy, &got_acc);
+        }
+        ASSERT_TRUE(testutil::BitIdentical(want_acc, got_acc))
+            << "MatMulTAAcc";
+      }
+    }
+  }
+  ASSERT_TRUE(nn::SetKernelTier(entry));
+}
+
+TEST(KernelSweepTest, SparseLinearMatchesReferenceLoopsAtEveryWidth) {
+  namespace ref = testutil::refkernel;
+  const nn::KernelTier entry = nn::ActiveKernelTier();
+  for (nn::KernelTier tier : nn::AvailableKernelTiers()) {
+    SCOPED_TRACE(nn::KernelTierName(tier));
+    ASSERT_TRUE(nn::SetKernelTier(tier));
+    util::Pcg32 rng(41);
+    for (size_t m = 1; m <= 72; ++m) {
+      for (double density : {0.1, 0.6}) {
+        SCOPED_TRACE("m=" + std::to_string(m) +
+                     " density=" + std::to_string(density));
+        const size_t n = 2 + m % 6, dim = 29;
+        const SparseRows x = RandomCsr(n, dim, density, &rng);
+        const Tensor w = RandomTensor({dim, m}, &rng);
+        const Tensor bias = RandomTensor({m}, &rng);
+        Tensor want({n, m}), got;
+        for (bool relu : {false, true}) {
+          ref::SparseLinear(x.row_offsets.data(), x.cols.data(),
+                            x.vals.data(), n, w.data(), bias.data(), relu,
+                            want.data(), m);
+          SparseLinearBiasActInto(x, w, bias, relu, &got);
+          ASSERT_TRUE(testutil::BitIdentical(want, got))
+              << "SparseLinear relu=" << relu;
+        }
+      }
+    }
+  }
+  ASSERT_TRUE(nn::SetKernelTier(entry));
+}
+
+// Batches store each set's real rows only. Sets of 0-3 elements, empty ones
+// included (a query without joins), must pool and back-propagate through
+// the set MLP to exactly what padding every set to the batch maximum and
+// pooling under a 0/1 mask gave.
+TEST(KernelTest, RaggedSetsMatchPaddedMaskedPooling) {
+  const nn::KernelTier entry = nn::ActiveKernelTier();
+  for (nn::KernelTier tier : nn::AvailableKernelTiers()) {
+    SCOPED_TRACE(nn::KernelTierName(tier));
+    ASSERT_TRUE(nn::SetKernelTier(tier));
+    for (size_t h : {16u, 20u, 64u}) {
+      SCOPED_TRACE("h=" + std::to_string(h));
+      util::Pcg32 rng(42);
+      const size_t dim = 23;
+      const std::vector<size_t> sizes = {0, 2, 1, 0, 3, 1};
+      const size_t b = sizes.size(), s = 3;
+      SparseRows ragged, padded;
+      ragged.Clear(dim);
+      padded.Clear(dim);
+      std::vector<uint32_t> offsets = {0};
+      Tensor mask({b, s});
+      for (size_t i = 0; i < b; ++i) {
+        const SparseRows set = RandomCsr(sizes[i], dim, 0.4, &rng);
+        for (size_t j = 0; j < sizes[i]; ++j) {
+          ragged.AppendRowFrom(set, j);
+          padded.AppendRowFrom(set, j);
+          mask.at(i, j) = 1.0f;
+        }
+        for (size_t j = sizes[i]; j < s; ++j) padded.EndRow();
+        offsets.push_back(static_cast<uint32_t>(ragged.rows()));
+      }
+      nn::Mlp ragged_mlp("m", {dim, h, h}, /*final_activation=*/true);
+      nn::Mlp padded_mlp("m", {dim, h, h}, /*final_activation=*/true);
+      util::Pcg32 init_a = rng.Fork(), init_b = init_a;
+      ragged_mlp.Initialize(&init_a);
+      padded_mlp.Initialize(&init_b);
+      nn::MaskedMean pool;
+      // Two steps, so accumulation into non-zero gradients is covered too.
+      for (int step = 0; step < 2; ++step) {
+        const Tensor got = pool.Forward(ragged_mlp.ForwardSparse(ragged),
+                                        offsets);
+        const Tensor want = testutil::PaddedMaskedMean(
+            padded_mlp.ForwardSparse(padded), mask);
+        ASSERT_TRUE(testutil::BitIdentical(want, got));
+        EXPECT_EQ(got.at(0, 0), 0.0f);  // the empty set pools to zero
+        const Tensor dy = RandomTensor({b, h}, &rng);
+        ragged_mlp.BackwardParams(pool.Backward(dy));
+        padded_mlp.BackwardParams(testutil::PaddedMaskedMeanBackward(dy, mask));
+      }
+      const auto want = padded_mlp.Parameters();
+      const auto got = ragged_mlp.Parameters();
+      ASSERT_EQ(want.size(), got.size());
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_TRUE(testutil::BitIdentical(want[i]->grad, got[i]->grad))
+            << want[i]->name;
+      }
+    }
+  }
+  ASSERT_TRUE(nn::SetKernelTier(entry));
+}
+
 TEST(KernelTest, KernelStatsCount) {
   auto& stats = nn::GlobalKernelStats();
   const uint64_t dense0 = stats.dense_calls.load();
@@ -407,15 +564,15 @@ TEST(KernelTest, MlpInferIntoMatchesInferAndForward) {
 }
 
 TEST(KernelTest, PoolIntoMatchesPool) {
-  // The reference pooling is the training Forward.
+  // The reference pooling is the training Forward; sets of 0-3 rows.
   util::Pcg32 rng(16);
-  Tensor flat = RandomTensor({6 * 3, 10}, &rng);
-  Tensor mask({6, 3});
-  for (float& v : mask.vec()) v = rng.UniformDouble(0, 1) < 0.5 ? 1.0f : 0.0f;
+  std::vector<uint32_t> offsets = {0};
+  for (int i = 0; i < 6; ++i) offsets.push_back(offsets.back() + rng.Bounded(4));
+  Tensor flat = RandomTensor({offsets.back(), 10}, &rng);
   nn::MaskedMean pool;
-  Tensor want = pool.Forward(flat, mask);
+  Tensor want = pool.Forward(flat, offsets);
   Tensor got;
-  nn::MaskedMean::PoolInto(flat, mask, &got);
+  nn::MaskedMean::PoolInto(flat, offsets, &got);
   ExpectBitIdentical(want, got);
 }
 

@@ -241,13 +241,12 @@ TEST(ActivationTest, ApplyInPlaceMatchesForward) {
 }
 
 TEST(MaskedMeanTest, PoolMatchesForward) {
-  Tensor flat = Tensor::FromData(
-      {6, 2}, {1, 2, 3, 4, 100, 100, 5, 6, 100, 100, 100, 100});
-  Tensor mask = Tensor::FromData({2, 3}, {1, 1, 0, 1, 0, 0});
+  Tensor flat = Tensor::FromData({3, 2}, {1, 2, 3, 4, 5, 6});
+  const std::vector<uint32_t> offsets = {0, 2, 3};
   MaskedMean pool;
-  Tensor want = pool.Forward(flat, mask);
+  Tensor want = pool.Forward(flat, offsets);
   Tensor got;
-  MaskedMean::PoolInto(flat, mask, &got);
+  MaskedMean::PoolInto(flat, offsets, &got);
   ASSERT_EQ(got.size(), want.size());
   for (size_t i = 0; i < want.size(); ++i) {
     EXPECT_FLOAT_EQ(got.at(i), want.at(i));
@@ -255,13 +254,10 @@ TEST(MaskedMeanTest, PoolMatchesForward) {
 }
 
 TEST(MaskedMeanTest, AveragesOnlyRealElements) {
-  // B=2 sets, S=3 slots, H=2 features.
-  Tensor flat = Tensor::FromData(
-      {6, 2}, {1, 2, 3, 4, 100, 100,   // set 0: elements (1,2),(3,4); pad
-               5, 6, 100, 100, 100, 100});  // set 1: element (5,6); pads
-  Tensor mask = Tensor::FromData({2, 3}, {1, 1, 0, 1, 0, 0});
+  // B=2 sets of H=2 features: set 0 owns rows 0-1, set 1 owns row 2.
+  Tensor flat = Tensor::FromData({3, 2}, {1, 2, 3, 4, 5, 6});
   MaskedMean pool;
-  Tensor out = pool.Forward(flat, mask);
+  Tensor out = pool.Forward(flat, std::vector<uint32_t>{0, 2, 3});
   EXPECT_FLOAT_EQ(out.at(0, 0), 2);  // (1+3)/2
   EXPECT_FLOAT_EQ(out.at(0, 1), 3);  // (2+4)/2
   EXPECT_FLOAT_EQ(out.at(1, 0), 5);
@@ -269,27 +265,29 @@ TEST(MaskedMeanTest, AveragesOnlyRealElements) {
 }
 
 TEST(MaskedMeanTest, EmptySetYieldsZeroAndNoGradient) {
+  // Set 0 has no rows; set 1 owns both.
   Tensor flat = Tensor::FromData({2, 2}, {7, 8, 9, 10});
-  Tensor mask = Tensor::FromData({1, 2}, {0, 0});
   MaskedMean pool;
-  Tensor out = pool.Forward(flat, mask);
+  Tensor out = pool.Forward(flat, std::vector<uint32_t>{0, 0, 2});
   EXPECT_FLOAT_EQ(out.at(0, 0), 0);
   EXPECT_FLOAT_EQ(out.at(0, 1), 0);
-  Tensor dy = Tensor::FromData({1, 2}, {1, 1});
+  EXPECT_FLOAT_EQ(out.at(1, 0), 8);
+  // The empty set's gradient reaches no row.
+  Tensor dy = Tensor::FromData({2, 2}, {100, 100, 0, 0});
   Tensor dflat = pool.Backward(dy);
+  ASSERT_EQ(dflat.dim(0), 2u);
   for (size_t i = 0; i < dflat.size(); ++i) EXPECT_FLOAT_EQ(dflat.at(i), 0);
 }
 
 TEST(MaskedMeanTest, BackwardDistributesEvenly) {
   Tensor flat = Tensor::FromData({3, 1}, {1, 2, 3});
-  Tensor mask = Tensor::FromData({1, 3}, {1, 1, 0});
   MaskedMean pool;
-  pool.Forward(flat, mask);
-  Tensor dy = Tensor::FromData({1, 1}, {6});
+  pool.Forward(flat, std::vector<uint32_t>{0, 2, 3});
+  Tensor dy = Tensor::FromData({2, 1}, {6, 4});
   Tensor dflat = pool.Backward(dy);
   EXPECT_FLOAT_EQ(dflat.at(0), 3);  // 6 * 1/2
   EXPECT_FLOAT_EQ(dflat.at(1), 3);
-  EXPECT_FLOAT_EQ(dflat.at(2), 0);  // padding
+  EXPECT_FLOAT_EQ(dflat.at(2), 4);  // the only row of set 1
 }
 
 TEST(LogNormalizerTest, RoundTrip) {

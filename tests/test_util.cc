@@ -271,4 +271,127 @@ bool BitIdentical(const nn::Tensor& a, const nn::Tensor& b) {
           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
 }
 
+namespace refkernel {
+
+void MatMulTB(const float* a, const float* b, float* c, size_t n, size_t k,
+              size_t m, nn::KernelTier tier) {
+  for (size_t i = 0; i < n; ++i) {
+    const float* arow = a + i * k;
+    for (size_t j = 0; j < m; ++j) {
+      const float* brow = b + j * k;
+      size_t kk = 0;
+      float acc = 0.0f;
+      if (tier == nn::KernelTier::kAvx2 && k >= 8) {
+        float lane[8] = {};
+        for (; kk + 8 <= k; kk += 8) {
+          for (size_t l = 0; l < 8; ++l) {
+            lane[l] += arow[kk + l] * brow[kk + l];
+          }
+        }
+        float s[4];
+        for (size_t l = 0; l < 4; ++l) s[l] = lane[l] + lane[l + 4];
+        acc = (s[0] + s[1]) + (s[2] + s[3]);
+      }
+      for (; kk < k; ++kk) acc += arow[kk] * brow[kk];
+      c[i * m + j] = acc;
+    }
+  }
+}
+
+void MatMulTAAcc(const float* a, const float* b, float* c, size_t n,
+                 size_t k, size_t m) {
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t kk = 0; kk < k; ++kk) {
+      const float av = a[i * k + kk];
+      if (av == 0.0f) continue;
+      for (size_t j = 0; j < m; ++j) c[kk * m + j] += av * b[i * m + j];
+    }
+  }
+}
+
+namespace {
+
+void BiasAct(const float* bias, bool fuse_relu, float* yrow, size_t m) {
+  for (size_t j = 0; j < m; ++j) {
+    const float v = yrow[j] + bias[j];
+    yrow[j] = fuse_relu && v < 0.0f ? 0.0f : v;
+  }
+}
+
+}  // namespace
+
+void Linear(const float* x, const float* w, const float* bias, bool fuse_relu,
+            float* y, size_t n, size_t k, size_t m) {
+  for (size_t i = 0; i < n; ++i) {
+    float* yrow = y + i * m;
+    for (size_t j = 0; j < m; ++j) yrow[j] = 0.0f;
+    for (size_t kk = 0; kk < k; ++kk) {
+      const float xv = x[i * k + kk];
+      if (xv == 0.0f) continue;
+      for (size_t j = 0; j < m; ++j) yrow[j] += xv * w[kk * m + j];
+    }
+    BiasAct(bias, fuse_relu, yrow, m);
+  }
+}
+
+void SparseLinear(const uint32_t* offs, const uint32_t* cols,
+                  const float* vals, size_t n, const float* w,
+                  const float* bias, bool fuse_relu, float* y, size_t m) {
+  for (size_t i = 0; i < n; ++i) {
+    float* yrow = y + i * m;
+    for (size_t j = 0; j < m; ++j) yrow[j] = 0.0f;
+    for (uint32_t e = offs[i]; e < offs[i + 1]; ++e) {
+      for (size_t j = 0; j < m; ++j) {
+        yrow[j] += vals[e] * w[static_cast<size_t>(cols[e]) * m + j];
+      }
+    }
+    BiasAct(bias, fuse_relu, yrow, m);
+  }
+}
+
+}  // namespace refkernel
+
+nn::Tensor PaddedMaskedMean(const nn::Tensor& flat, const nn::Tensor& mask) {
+  const size_t b = mask.dim(0), s = mask.dim(1), h = flat.dim(1);
+  DS_CHECK_EQ(flat.dim(0), b * s);
+  nn::Tensor out({b, h});
+  for (size_t i = 0; i < b; ++i) {
+    float count = 0.0f;
+    float* orow = out.data() + i * h;
+    for (size_t j = 0; j < s; ++j) {
+      const float m = mask.at(i, j);
+      if (m == 0.0f) continue;
+      count += m;
+      const float* frow = flat.data() + (i * s + j) * h;
+      for (size_t k = 0; k < h; ++k) orow[k] += m * frow[k];
+    }
+    if (count > 0.0f) {
+      const float inv = 1.0f / count;
+      for (size_t k = 0; k < h; ++k) orow[k] *= inv;
+    }
+  }
+  return out;
+}
+
+nn::Tensor PaddedMaskedMeanBackward(const nn::Tensor& dy,
+                                    const nn::Tensor& mask) {
+  const size_t b = mask.dim(0), s = mask.dim(1), h = dy.dim(1);
+  nn::Tensor dflat({b * s, h});
+  for (size_t i = 0; i < b; ++i) {
+    float count = 0.0f;
+    for (size_t j = 0; j < s; ++j) count += mask.at(i, j);
+    if (count == 0.0f) continue;
+    const float inv = 1.0f / count;
+    const float* drow = dy.data() + i * h;
+    for (size_t j = 0; j < s; ++j) {
+      const float m = mask.at(i, j);
+      if (m == 0.0f) continue;
+      float* frow = dflat.data() + (i * s + j) * h;
+      const float scale = m * inv;
+      for (size_t k = 0; k < h; ++k) frow[k] = scale * drow[k];
+    }
+  }
+  return dflat;
+}
+
 }  // namespace ds::testutil

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "ds/est/sample.h"
+#include "ds/nn/kernels.h"
 #include "ds/nn/tensor.h"
 #include "ds/storage/catalog.h"
 #include "ds/workload/query_spec.h"
@@ -59,6 +60,37 @@ Result<ReferenceFeatures> ReferenceFeaturize(
 
 /// Same shape and the same bits (memcmp, so -0.0 differs from 0.0).
 bool BitIdentical(const nn::Tensor& a, const nn::Tensor& b);
+
+/// Scalar copies of the kernel tiers' row loops (ds/nn/kernels_tier.inl)
+/// for the kernels with register-resident AVX2 paths: one mul-then-add per
+/// nonzero in k order, zero entries of dense left operands skipped. The
+/// kernels must match them bit for bit on every tier and width. Arguments
+/// follow detail::KernelOps.
+namespace refkernel {
+
+/// c = a b^T through the given tier's DotRow reduction tree: a plain
+/// left-to-right sum on generic; on AVX2, for k >= 8, eight lane sums over
+/// the 8-wide blocks folded as ((l0+l4)+(l1+l5)) + ((l2+l6)+(l3+l7)),
+/// then the tail added left to right.
+void MatMulTB(const float* a, const float* b, float* c, size_t n, size_t k,
+              size_t m, nn::KernelTier tier);
+void MatMulTAAcc(const float* a, const float* b, float* c, size_t n,
+                 size_t k, size_t m);
+void Linear(const float* x, const float* w, const float* bias, bool fuse_relu,
+            float* y, size_t n, size_t k, size_t m);
+void SparseLinear(const uint32_t* offs, const uint32_t* cols,
+                  const float* vals, size_t n, const float* w,
+                  const float* bias, bool fuse_relu, float* y, size_t m);
+
+}  // namespace refkernel
+
+/// Set pooling over a padded batch: `flat` [B*S, H] with a 0/1 `mask`
+/// [B, S] — how MSCN batches were packed before they stored real rows
+/// only. The oracle for nn::MaskedMean on ragged sets.
+nn::Tensor PaddedMaskedMean(const nn::Tensor& flat, const nn::Tensor& mask);
+/// Its gradient for `flat`, given dy [B, H].
+nn::Tensor PaddedMaskedMeanBackward(const nn::Tensor& dy,
+                                    const nn::Tensor& mask);
 
 }  // namespace ds::testutil
 

@@ -270,6 +270,61 @@ TEST(LabelerTest, WithoutSamplesNoBitmaps) {
   for (const auto& lq : labeled) EXPECT_TRUE(lq.bitmaps.empty());
 }
 
+// LabelQueries fans the queries out over every hardware thread; these pin
+// what the caller sees: the sequential results, in query order.
+TEST(LabelerTest, ParallelLabelsMatchSequentialCountsInQueryOrder) {
+  auto catalog = testutil::MakeTinyCatalog();
+  auto samples = est::SampleSet::Build(*catalog, 10, 3).value();
+  GeneratorOptions opts;
+  opts.seed = 35;
+  opts.max_tables = 3;
+  auto gen = QueryGenerator::Create(catalog.get(), opts).value();
+  const std::vector<QuerySpec> queries = gen.GenerateMany(400);
+  std::vector<size_t> progress;
+  workload::LabelerOptions lo;
+  lo.progress = [&](size_t done, size_t total) {
+    EXPECT_EQ(total, queries.size());
+    progress.push_back(done);
+  };
+  auto labeled = workload::LabelQueries(*catalog, &samples, queries, lo);
+  ASSERT_TRUE(labeled.ok()) << labeled.status().ToString();
+  ASSERT_EQ(labeled->size(), queries.size());
+  exec::Executor executor(catalog.get());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const LabeledQuery& lq = (*labeled)[i];
+    EXPECT_EQ(lq.spec.ToCompactString(), queries[i].ToCompactString()) << i;
+    EXPECT_EQ(lq.cardinality, executor.Count(queries[i]).value()) << i;
+    ASSERT_EQ(lq.bitmaps.size(), lq.spec.tables.size()) << i;
+    for (size_t t = 0; t < lq.spec.tables.size(); ++t) {
+      EXPECT_EQ(lq.bitmaps[t],
+                samples.Bitmap(lq.spec.tables[t], lq.spec.predicates).value())
+          << i;
+    }
+  }
+  // One call per query; `done` rises by one each time and ends at total.
+  ASSERT_EQ(progress.size(), queries.size());
+  for (size_t i = 0; i < progress.size(); ++i) EXPECT_EQ(progress[i], i + 1);
+}
+
+TEST(LabelerTest, ParallelLabelingReturnsTheLowestIndexError) {
+  auto catalog = testutil::MakeTinyCatalog();
+  GeneratorOptions opts;
+  opts.seed = 36;
+  auto gen = QueryGenerator::Create(catalog.get(), opts).value();
+  // Repeated, so the threads finish the two failing queries in both orders.
+  for (int rep = 0; rep < 20; ++rep) {
+    std::vector<QuerySpec> queries = gen.GenerateMany(200);
+    const size_t lo_idx = 3 + static_cast<size_t>(rep) * 7;
+    const size_t hi_idx = lo_idx + 1 + static_cast<size_t>(rep) % 5;
+    queries[lo_idx].tables = {"genre", "genre"};
+    queries[hi_idx].tables = {"movie", "movie"};
+    auto labeled = workload::LabelQueries(*catalog, nullptr, queries);
+    ASSERT_FALSE(labeled.ok());
+    EXPECT_NE(labeled.status().message().find("'genre'"), std::string::npos)
+        << labeled.status().ToString();
+  }
+}
+
 // ---- Workload I/O ---------------------------------------------------------------
 
 TEST(WorkloadIoTest, RoundTripPreservesEverything) {

@@ -7,7 +7,9 @@
 //             [pin_workers=0|1] [trace=N] [drain_ms=M]
 //
 // Every positional argument is a sketch file, registered under its file
-// stem (queries name it via the wire protocol's sketch field). demo=imdb
+// stem (queries name it via the wire protocol's sketch field). A key=value
+// argument whose key is not listed above prints the usage line and exits
+// 2, so a misspelled flag fails instead of keeping its default. demo=imdb
 // trains a small in-memory sketch named "demo" instead — no files needed,
 // which is what the CI integration smoke uses.
 //
@@ -44,6 +46,7 @@
 #include <filesystem>
 #include <map>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -73,6 +76,30 @@ void HandleDumpSignal(int) {
 int Fail(const Status& status) {
   std::fprintf(stderr, "ds_served: %s\n", status.ToString().c_str());
   return 1;
+}
+
+// The key=value flags ds_served reads; also its usage line.
+constexpr std::string_view kFlags[] = {
+    "listen=host:port", "demo=imdb|tpch", "workers=N",    "net_workers=N",
+    "max_batch=N",      "wait_us=N",      "queue=N",      "rate=R",
+    "burst=B",          "seconds=S",      "pin=0|1",      "pin_workers=0|1",
+    "trace=N",          "drain_ms=M"};
+
+bool KnownFlag(std::string_view key) {
+  for (std::string_view f : kFlags) {
+    if (f.substr(0, f.find('=')) == key) return true;
+  }
+  return false;
+}
+
+void PrintUsage() {
+  std::string line = "usage: ds_served [<sketch-file>...]";
+  for (std::string_view f : kFlags) {
+    line += " [";
+    line += f;
+    line += "]";
+  }
+  std::fprintf(stderr, "%s\n", line.c_str());
 }
 
 struct Flags {
@@ -126,18 +153,18 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg(argv[i]);
     if (arg == "--help") {
-      std::fprintf(stderr,
-                   "usage: ds_served [<sketch-file>...] [listen=host:port] "
-                   "[demo=imdb|tpch] [workers=N] [net_workers=N] [rate=R] "
-                   "[burst=B] [seconds=S] "
-                   "[pin_workers=0|1] [trace=N] [drain_ms=M]\n");
+      PrintUsage();
       return 0;
     }
     const auto eq = arg.find('=');
-    if (eq != std::string::npos) {
+    if (eq == std::string::npos) {
+      sketch_files.push_back(arg);
+    } else if (KnownFlag(arg.substr(0, eq))) {
       flags.values[arg.substr(0, eq)] = arg.substr(eq + 1);
     } else {
-      sketch_files.push_back(arg);
+      std::fprintf(stderr, "ds_served: unknown argument '%s'\n", arg.c_str());
+      PrintUsage();
+      return 2;
     }
   }
 
