@@ -45,12 +45,9 @@ void Adam::Step() {
   ++t_;
   const float bias1 = 1.0f - std::pow(beta1_, static_cast<float>(t_));
   const float bias2 = 1.0f - std::pow(beta2_, static_cast<float>(t_));
-  // Locals, not members, in the loop: the stores through w/m/v could
-  // otherwise alias them, which would block vectorization. The loop
-  // vectorizes to sqrtps because src/CMakeLists.txt builds this file with
-  // -fno-math-errno; sqrtps and divps round exactly as sqrtf and a scalar
-  // divide do, so the update is bit-identical either way.
-  const float lr = lr_, beta1 = beta1_, beta2 = beta2_, eps = eps_;
+  // The loop vectorizes to sqrtps only because src/CMakeLists.txt builds
+  // this file with -fno-math-errno; sqrtps and divps round exactly as sqrtf
+  // and a scalar divide do, so the update is bit-identical either way.
   for (size_t i = 0; i < params_.size(); ++i) {
     Parameter* p = params_[i];
     float* w = p->value.data();
@@ -59,11 +56,11 @@ void Adam::Step() {
     float* v = v_[i].data();
     const size_t n = p->value.size();
     for (size_t j = 0; j < n; ++j) {
-      m[j] = beta1 * m[j] + (1.0f - beta1) * g[j];
-      v[j] = beta2 * v[j] + (1.0f - beta2) * g[j] * g[j];
+      m[j] = beta1_ * m[j] + (1.0f - beta1_) * g[j];
+      v[j] = beta2_ * v[j] + (1.0f - beta2_) * g[j] * g[j];
       const float mhat = m[j] / bias1;
       const float vhat = v[j] / bias2;
-      w[j] -= lr * mhat / (std::sqrt(vhat) + eps);
+      w[j] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
     }
   }
 }
